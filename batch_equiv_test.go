@@ -4,12 +4,13 @@ import (
 	"strings"
 	"testing"
 
+	"jackpine/internal/engine"
 	"jackpine/internal/wire"
 )
 
 // TestBatchEquivalence runs the entire micro suite (MT1–MT15, MA1–MA12)
-// and all six macro scenarios on two engines — batch execution disabled
-// versus enabled — over both the in-process and the wire transport, and
+// and all six macro scenarios on engines with batch execution disabled
+// versus enabled, over both the in-process and the wire transport, and
 // requires byte-identical results from every query: same rows, same
 // order, same float rendering. The batch path replaces only how stage-0
 // rows move through the scan and filter cascade, so any divergence
@@ -17,37 +18,18 @@ import (
 // intended path actually ran on each engine.
 func TestBatchEquivalence(t *testing.T) {
 	ds := GenerateDataset(ScaleSmall, 1)
-
-	off := OpenEngine(GaiaDB(), WithBatchExec(false))
-	on := OpenEngine(GaiaDB())
-	for _, eng := range []*Engine{off, on} {
-		if err := LoadDataset(eng, ds, true); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if off.BatchExec() {
-		t.Fatal("WithBatchExec(false) did not disable batch execution")
-	}
-	if !on.BatchExec() {
-		t.Fatal("default engine has batch execution disabled")
-	}
-
 	ctx := NewQueryContext(ds)
-	offConn, err := Connect(off).Connect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer offConn.Close()
-	onConn, err := Connect(on).Connect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer onConn.Close()
+	type pair struct{ off, on *Engine }
+	engines := map[int]pair{}
 
 	// Micro suite, in-process, serial and parallel.
 	for _, par := range []int{1, 8} {
-		off.SetParallelism(par)
-		on.SetParallelism(par)
+		p := pair{
+			off: openLoaded(t, ds, engine.WithBatchExec(false), WithParallelism(par)),
+			on:  openLoaded(t, ds, WithParallelism(par)),
+		}
+		engines[par] = p
+		offConn, onConn := connect(t, p.off), connect(t, p.on)
 		for _, q := range MicroSuite() {
 			sql := q.SQL(ctx, 0)
 			rs, err := offConn.Query(sql)
@@ -65,8 +47,8 @@ func TestBatchEquivalence(t *testing.T) {
 			}
 		}
 	}
-	off.SetParallelism(1)
-	on.SetParallelism(1)
+	off, on := engines[1].off, engines[1].on
+	offConn, onConn := connect(t, off), connect(t, on)
 
 	// Micro suite over the wire transport.
 	offSrv, onSrv := wire.NewServer(off), wire.NewServer(on)
@@ -131,12 +113,14 @@ func TestBatchEquivalence(t *testing.T) {
 		}
 	}
 
-	// The sweep must have driven the batch executor on the enabled
-	// engine and never on the disabled one.
-	if batches, rows := on.BatchStats(); batches == 0 || rows == 0 {
-		t.Errorf("batch engine processed no batches (batches=%d rows=%d)", batches, rows)
-	}
-	if batches, rows := off.BatchStats(); batches != 0 || rows != 0 {
-		t.Errorf("disabled engine processed %d batches (%d rows)", batches, rows)
+	// The sweep must have driven the batch executor on every enabled
+	// engine and never on a disabled one.
+	for par, p := range engines {
+		if batches, rows := p.on.BatchStats(); batches == 0 || rows == 0 {
+			t.Errorf("batch engine at parallelism %d processed no batches (batches=%d rows=%d)", par, batches, rows)
+		}
+		if batches, rows := p.off.BatchStats(); batches != 0 || rows != 0 {
+			t.Errorf("disabled engine at parallelism %d processed %d batches (%d rows)", par, batches, rows)
+		}
 	}
 }

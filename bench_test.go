@@ -22,6 +22,7 @@ import (
 	"jackpine/internal/engine"
 	"jackpine/internal/experiments"
 	"jackpine/internal/geom"
+	"jackpine/internal/sql"
 	"jackpine/internal/tiger"
 	"jackpine/internal/topo"
 )
@@ -323,18 +324,34 @@ var parallelBenchIDs = []string{"MA2", "MA6"}
 // counts on GaiaDB. On a single-core machine the parallel plans still
 // run (goroutines serialize); real scaling needs 4+ cores.
 func BenchmarkE13Parallelism(b *testing.B) {
-	eng := benchEngine(b, GaiaDB(), ScaleSmall, true)
-	defer eng.SetParallelism(0) // engine is cached across benchmarks
 	ds := benchDataset(b, ScaleSmall)
+	engines := parallelBenchEngines(b, ds)
 	for _, id := range parallelBenchIDs {
 		q := findMicro(b, id)
-		for _, workers := range []int{1, 2, 4, 8} {
+		for _, workers := range parallelBenchWorkers {
 			b.Run(fmt.Sprintf("%s/workers-%d", q.ID, workers), func(b *testing.B) {
-				eng.SetParallelism(workers)
-				runMicroQuery(b, eng, q, ds)
+				runMicroQuery(b, engines[workers], q, ds)
 			})
 		}
 	}
+}
+
+// parallelBenchWorkers are the E13 worker counts.
+var parallelBenchWorkers = []int{1, 2, 4, 8}
+
+// parallelBenchEngines opens and loads one GaiaDB engine per E13 worker
+// count.
+func parallelBenchEngines(tb testing.TB, ds *Dataset) map[int]*Engine {
+	tb.Helper()
+	engines := make(map[int]*Engine, len(parallelBenchWorkers))
+	for _, workers := range parallelBenchWorkers {
+		eng := OpenEngine(GaiaDB(), WithParallelism(workers))
+		if err := LoadDataset(eng, ds, true); err != nil {
+			tb.Fatal(err)
+		}
+		engines[workers] = eng
+	}
+	return engines
 }
 
 // TestWriteParallelBench regenerates BENCH_parallel.json, the committed
@@ -347,16 +364,8 @@ func TestWriteParallelBench(t *testing.T) {
 		t.Skip("set JACKPINE_WRITE_BENCH=1 to rewrite BENCH_parallel.json")
 	}
 	ds := GenerateDataset(ScaleSmall, 1)
-	eng := OpenEngine(GaiaDB())
-	if err := LoadDataset(eng, ds, true); err != nil {
-		t.Fatal(err)
-	}
+	engines := parallelBenchEngines(t, ds)
 	ctx := NewQueryContext(ds)
-	conn, err := Connect(eng).Connect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
 
 	type timing struct {
 		Workers int     `json:"workers"`
@@ -403,8 +412,12 @@ func TestWriteParallelBench(t *testing.T) {
 			}
 		}
 		qo := queryOut{ID: q.ID, Name: q.Name, SQL: q.SQL(ctx, 0)}
-		for _, workers := range []int{1, 2, 4, 8} {
-			eng.SetParallelism(workers)
+		for _, workers := range parallelBenchWorkers {
+			eng := engines[workers]
+			conn, err := Connect(eng).Connect()
+			if err != nil {
+				t.Fatal(err)
+			}
 			for w := 0; w < warmup; w++ {
 				if _, err := conn.Query(q.SQL(ctx, w)); err != nil {
 					t.Fatal(err)
@@ -430,6 +443,7 @@ func TestWriteParallelBench(t *testing.T) {
 					qo.Access = res.Access[0]
 				}
 			}
+			conn.Close()
 			mean := total / runs
 			tm := timing{Workers: workers, MeanUS: mean.Microseconds(), Speedup: 1}
 			if len(qo.Timings) > 0 && mean > 0 {
@@ -438,7 +452,6 @@ func TestWriteParallelBench(t *testing.T) {
 			}
 			qo.Timings = append(qo.Timings, tm)
 		}
-		eng.SetParallelism(0)
 		out.Queries = append(out.Queries, qo)
 	}
 	buf, err := json.MarshalIndent(out, "", "  ")
@@ -583,7 +596,7 @@ func TestWriteDecodeBench(t *testing.T) {
 		}
 		// Collect the previous config's engine before timing.
 		runtime.GC()
-		eng.ResetCacheStats()
+		before := eng.CacheCounters()
 		cold := pass()
 		var warmTotal time.Duration
 		for i := 0; i < runs; i++ {
@@ -600,8 +613,8 @@ func TestWriteDecodeBench(t *testing.T) {
 		}
 		co := configOut{
 			Caches: c.Name, ColdUS: cold.Microseconds(), WarmUS: warm.Microseconds(),
-			GeomHit: ratio(cc.GeomHits, cc.GeomMisses),
-			PlanHit: ratio(cc.PlanHits, cc.PlanMisses),
+			GeomHit: ratio(cc.GeomHits-before.GeomHits, cc.GeomMisses-before.GeomMisses),
+			PlanHit: ratio(cc.PlanHits-before.PlanHits, cc.PlanMisses-before.PlanMisses),
 		}
 		if c.Name == "none" {
 			warmNone = warm
@@ -1090,7 +1103,7 @@ func TestWriteTopoKernelBench(t *testing.T) {
 		}
 		pass() // warm caches
 		runtime.GC()
-		eng.ResetCacheStats()
+		before := eng.CacheCounters()
 		const runs = 7
 		var total time.Duration
 		for i := 0; i < runs; i++ {
@@ -1100,8 +1113,8 @@ func TestWriteTopoKernelBench(t *testing.T) {
 		cc := eng.CacheCounters()
 		conn.Close()
 		hit := -1.0
-		if cc.PrepHits+cc.PrepMisses > 0 {
-			hit = float64(cc.PrepHits) / float64(cc.PrepHits+cc.PrepMisses)
+		if hits, misses := cc.PrepHits-before.PrepHits, cc.PrepMisses-before.PrepMisses; hits+misses > 0 {
+			hit = float64(hits) / float64(hits+misses)
 		}
 		so := sqlOut{Prepared: c.name, WarmUS: warm.Microseconds(), PrepHit: hit}
 		if c.name == "off" {
@@ -1189,8 +1202,7 @@ func BenchmarkE17BatchExec(b *testing.B) {
 		batch bool
 	}{{"row", false}, {"batch", true}} {
 		b.Run(c.name, func(b *testing.B) {
-			eng := OpenEngine(GaiaDB(), WithBatchExec(c.batch))
-			eng.SetParallelism(1)
+			eng := OpenEngine(GaiaDB(), engine.WithBatchExec(c.batch), WithParallelism(1))
 			if err := LoadDataset(eng, ds, true); err != nil {
 				b.Fatal(err)
 			}
@@ -1238,8 +1250,7 @@ func batchGuardAllocs(tb testing.TB) float64 {
 	if query == "" {
 		tb.Fatalf("guard query %s not in the E17 set", batchGuardQueryID)
 	}
-	eng := OpenEngine(GaiaDB())
-	eng.SetParallelism(1)
+	eng := OpenEngine(GaiaDB(), WithParallelism(1))
 	if err := LoadDataset(eng, ds, true); err != nil {
 		tb.Fatal(err)
 	}
@@ -1567,11 +1578,11 @@ func TestWriteSpatialJoinBench(t *testing.T) {
 
 	maxSpeedup := 0.0
 	for _, par := range []int{1, 2, 8} {
-		inl, err := experiments.MeasureE19(ds, ctx, JoinINL, par, runs)
+		inl, err := experiments.MeasureE19(ds, ctx, sql.JoinINL, par, runs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pbsm, err := experiments.MeasureE19(ds, ctx, JoinPBSM, par, runs)
+		pbsm, err := experiments.MeasureE19(ds, ctx, sql.JoinPBSM, par, runs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1590,11 +1601,11 @@ func TestWriteSpatialJoinBench(t *testing.T) {
 		t.Logf("par=%d inl=%v pbsm=%v speedup=%.2fx", par, inl.Mean, pbsm.Mean, sp)
 	}
 	for _, shards := range []int{1, 2, 8} {
-		inl, err := experiments.MeasureE19Cluster(ds, ctx, JoinINL, shards, runs)
+		inl, err := experiments.MeasureE19Cluster(ds, ctx, sql.JoinINL, shards, runs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pbsm, err := experiments.MeasureE19Cluster(ds, ctx, JoinPBSM, shards, runs)
+		pbsm, err := experiments.MeasureE19Cluster(ds, ctx, sql.JoinPBSM, shards, runs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,10 +2,12 @@ package jackpine
 
 import (
 	"testing"
+
+	"jackpine/internal/engine"
 )
 
 // TestCacheEquivalence runs the entire micro suite (MT1–MT15, MA1–MA12)
-// on two engines — decode-layer caches disabled versus enabled — at
+// on engines with decode-layer caches disabled versus enabled, at
 // parallelism 1 and 8, executing every query twice on each so the
 // second pass on the cached engine is served from the geometry and plan
 // caches. Every execution must be byte-identical to the uncached
@@ -14,36 +16,11 @@ import (
 // cached decode or cached plan changed semantics.
 func TestCacheEquivalence(t *testing.T) {
 	ds := GenerateDataset(ScaleSmall, 1)
-
-	plain := OpenEngine(GaiaDB(), WithGeomCache(0), WithPlanCache(0))
-	cached := OpenEngine(GaiaDB())
-	for _, eng := range []*Engine{plain, cached} {
-		if err := LoadDataset(eng, ds, true); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if plain.GeomCache() != nil {
-		t.Fatal("WithGeomCache(0) did not disable the geometry cache")
-	}
-	if cached.GeomCache() == nil {
-		t.Fatal("default engine has no geometry cache")
-	}
-
 	ctx := NewQueryContext(ds)
-	plainConn, err := Connect(plain).Connect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plainConn.Close()
-	cachedConn, err := Connect(cached).Connect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cachedConn.Close()
-
 	for _, par := range []int{1, 8} {
-		plain.SetParallelism(par)
-		cached.SetParallelism(par)
+		plain := openLoaded(t, ds, engine.WithGeomCache(0), engine.WithPlanCache(0), WithParallelism(par))
+		cached := openLoaded(t, ds, WithParallelism(par))
+		plainConn, cachedConn := connect(t, plain), connect(t, cached)
 		for _, q := range MicroSuite() {
 			sql := q.SQL(ctx, 0)
 			rs, err := plainConn.Query(sql)
@@ -63,19 +40,20 @@ func TestCacheEquivalence(t *testing.T) {
 				}
 			}
 		}
-	}
 
-	// The sweep must actually exercise both caches on the cached engine.
-	cc := cached.CacheCounters()
-	if cc.GeomHits == 0 {
-		t.Errorf("geometry cache saw no hits over the sweep (misses=%d)", cc.GeomMisses)
-	}
-	if cc.PlanHits == 0 {
-		t.Errorf("plan cache saw no hits over the sweep (misses=%d)", cc.PlanMisses)
-	}
-	// And the uncached engine's counters must stay silent.
-	pc := plain.CacheCounters()
-	if pc.GeomHits+pc.GeomMisses != 0 || pc.PlanHits+pc.PlanMisses != 0 {
-		t.Errorf("disabled caches recorded traffic: %+v", pc)
+		// The sweep must actually exercise both caches on the cached
+		// engine.
+		cc := cached.CacheCounters()
+		if cc.GeomHits == 0 {
+			t.Errorf("parallelism %d: geometry cache saw no hits over the sweep (misses=%d)", par, cc.GeomMisses)
+		}
+		if cc.PlanHits == 0 {
+			t.Errorf("parallelism %d: plan cache saw no hits over the sweep (misses=%d)", par, cc.PlanMisses)
+		}
+		// And the uncached engine's counters must stay silent.
+		pc := plain.CacheCounters()
+		if pc.GeomHits+pc.GeomMisses != 0 || pc.PlanHits+pc.PlanMisses != 0 {
+			t.Errorf("parallelism %d: disabled caches recorded traffic: %+v", par, pc)
+		}
 	}
 }

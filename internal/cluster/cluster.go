@@ -250,14 +250,6 @@ func (c *Cluster) ShardStats() driver.ShardStats {
 	return s
 }
 
-// ResetShardStats zeroes the scatter/prune counters (between benchmark
-// phases).
-func (c *Cluster) ResetShardStats() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stats = driver.ShardStats{}
-}
-
 // Register records a table that was created on the shards out of band
 // (e.g. preloaded with tiger.LoadShard) without executing any DDL. The
 // statement must be the benchmark-visible CREATE TABLE, without _seq.

@@ -25,14 +25,18 @@ type HedgeOptions struct {
 	// Disabled turns hedging off (replicas still load-balance).
 	Disabled bool
 	// After is a fixed hedge threshold; 0 selects the adaptive
-	// per-query-class threshold Multiplier×EWMA clamped to [Min, Max].
+	// per-query-class threshold hedgeMultiplier×EWMA clamped to
+	// [hedgeMin, hedgeMax].
 	After time.Duration
-	// Multiplier scales the per-class EWMA latency (default 3).
-	Multiplier float64
-	// Min and Max clamp the adaptive threshold (defaults 1ms, 100ms).
-	Min time.Duration
-	Max time.Duration
 }
+
+// Adaptive hedge threshold: a multiple of the per-class EWMA latency,
+// clamped to a range.
+const (
+	hedgeMultiplier = 3
+	hedgeMin        = time.Millisecond
+	hedgeMax        = 100 * time.Millisecond
+)
 
 // hedgePolicy tracks per-query-class latency and decides hedge
 // thresholds.
@@ -44,18 +48,6 @@ type hedgePolicy struct {
 }
 
 func newHedgePolicy(opts HedgeOptions) *hedgePolicy {
-	if opts.Multiplier <= 0 {
-		opts.Multiplier = 3
-	}
-	if opts.Min <= 0 {
-		opts.Min = time.Millisecond
-	}
-	if opts.Max <= 0 {
-		opts.Max = 100 * time.Millisecond
-	}
-	if opts.Max < opts.Min {
-		opts.Max = opts.Min
-	}
 	return &hedgePolicy{opts: opts, ewma: make(map[string]time.Duration)}
 }
 
@@ -81,14 +73,14 @@ func (h *hedgePolicy) threshold(class string) time.Duration {
 	prev, ok := h.ewma[class]
 	h.mu.Unlock()
 	if !ok {
-		return h.opts.Min
+		return hedgeMin
 	}
-	t := time.Duration(float64(prev) * h.opts.Multiplier)
-	if t < h.opts.Min {
-		t = h.opts.Min
+	t := prev * hedgeMultiplier
+	if t < hedgeMin {
+		t = hedgeMin
 	}
-	if t > h.opts.Max {
-		t = h.opts.Max
+	if t > hedgeMax {
+		t = hedgeMax
 	}
 	return t
 }

@@ -35,26 +35,26 @@ func TestPruneTargetEdges(t *testing.T) {
 	f.exec(t, "CREATE SPATIAL INDEX pts_loc ON pts (loc)")
 
 	// Empty WHERE: all shards, not prune-eligible.
-	f.cl.ResetShardStats()
+	before := f.cl.ShardStats()
 	q := "SELECT id FROM pts"
 	if path := explainPath(t, f, q); !strings.Contains(path, "scatter(4 of 4") {
 		t.Errorf("windowless scan path = %q, want scatter(4 of 4 ...)", path)
 	}
 	compareQuery(t, "empty where", q, f.single, f.cluster)
-	ss := f.cl.ShardStats()
+	ss := statsSince(f.cl, before)
 	if ss.PrunableSent != 0 || ss.Pruned != 0 {
 		t.Errorf("windowless scan must be prune-ineligible: %+v", ss)
 	}
 
 	// Predicate on a non-partitioning column: nothing spatial to prune
 	// on, so the scatter is ineligible even though it filters rows.
-	f.cl.ResetShardStats()
+	before = f.cl.ShardStats()
 	q = "SELECT name FROM pts WHERE id = 3"
 	if path := explainPath(t, f, q); !strings.Contains(path, "scatter(4 of 4") {
 		t.Errorf("non-spatial predicate path = %q, want scatter(4 of 4 ...)", path)
 	}
 	compareQuery(t, "non-spatial predicate", q, f.single, f.cluster)
-	ss = f.cl.ShardStats()
+	ss = statsSince(f.cl, before)
 	if ss.PrunableSent != 0 || ss.Pruned != 0 {
 		t.Errorf("non-spatial predicate must be prune-ineligible: %+v", ss)
 	}
@@ -62,13 +62,13 @@ func TestPruneTargetEdges(t *testing.T) {
 	// A window straddling the vertical cell boundary: it overlaps the
 	// south-west and south-east data MBRs only, so exactly two shards
 	// are queried and two pruned — a scatter, not a fast path.
-	f.cl.ResetShardStats()
+	before = f.cl.ShardStats()
 	q = "SELECT id FROM pts WHERE ST_Intersects(loc, ST_MakeEnvelope(5, 5, 95, 15))"
 	if path := explainPath(t, f, q); !strings.Contains(path, "scatter(2 of 4") {
 		t.Errorf("boundary-straddling window path = %q, want scatter(2 of 4 ...)", path)
 	}
 	compareQuery(t, "boundary window", q, f.single, f.cluster)
-	ss = f.cl.ShardStats()
+	ss = statsSince(f.cl, before)
 	if ss.PrunableSent != 2 || ss.Pruned != 2 || ss.FastPathHits != 0 {
 		t.Errorf("boundary window stats = %+v, want 2 sent, 2 pruned, no fast path", ss)
 	}
@@ -110,10 +110,10 @@ func TestKNNTwoPhase(t *testing.T) {
 	// The two nearest neighbours of (89, 88) both live in the north-east
 	// shard, and the k-th distance (~2.24) is far below every other
 	// shard's MBR distance (>100): phase 1 must settle the query.
-	f.cl.ResetShardStats()
+	before := f.cl.ShardStats()
 	q := "SELECT id FROM pts ORDER BY ST_Distance(loc, ST_MakePoint(89, 88)) LIMIT 2"
 	compareQuery(t, "tight knn", q, f.single, f.cluster)
-	ss := f.cl.ShardStats()
+	ss := statsSince(f.cl, before)
 	if ss.ShardQueries != 1 || ss.Pruned != 3 {
 		t.Errorf("tight kNN stats = %+v, want 1 shard query, 3 pruned", ss)
 	}
@@ -123,10 +123,10 @@ func TestKNNTwoPhase(t *testing.T) {
 
 	// A central probe with a large k cannot be settled by one shard:
 	// phase 2 must run, and the merged result must still match.
-	f.cl.ResetShardStats()
+	before = f.cl.ShardStats()
 	q = "SELECT id FROM pts ORDER BY ST_Distance(loc, ST_MakePoint(45, 55)) LIMIT 5"
 	compareQuery(t, "wide knn", q, f.single, f.cluster)
-	ss = f.cl.ShardStats()
+	ss = statsSince(f.cl, before)
 	if ss.ShardQueries <= 1 {
 		t.Errorf("wide kNN should need phase 2: %+v", ss)
 	}

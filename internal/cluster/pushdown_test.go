@@ -4,14 +4,17 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"jackpine/internal/driver"
 )
 
 // loadJoinFixture fills the router fixture with a join-heavy pair of
 // tables whose geometries deliberately straddle the 4-shard grid's
 // cell boundaries (x=50, y=50 over the 100×100 extent), so both halves
 // of the pushdown decomposition — same-shard pairs and cross-shard
-// boundary pairs — carry weight.
-func loadJoinFixture(t *testing.T, f *routerFixture) {
+// boundary pairs — carry weight. It returns the shard counters after
+// loading, the baseline a test's counter deltas start from.
+func loadJoinFixture(t *testing.T, f *routerFixture) driver.ShardStats {
 	t.Helper()
 	f.exec(t, "CREATE TABLE jpts (id INTEGER, loc GEOMETRY)")
 	f.exec(t, "CREATE TABLE jareas (id INTEGER, shape GEOMETRY)")
@@ -41,7 +44,7 @@ func loadJoinFixture(t *testing.T, f *routerFixture) {
 	}
 	f.exec(t, sb.String())
 	f.exec(t, "CREATE SPATIAL INDEX jareas_sidx ON jareas (shape)")
-	f.cl.ResetShardStats()
+	return f.cl.ShardStats()
 }
 
 // TestJoinPushdownEquivalence: co-partitioned aggregate spatial joins
@@ -49,7 +52,7 @@ func loadJoinFixture(t *testing.T, f *routerFixture) {
 // single engine exactly, cross-shard boundary pairs included.
 func TestJoinPushdownEquivalence(t *testing.T) {
 	f := newRouterFixture(t)
-	loadJoinFixture(t, f)
+	before := loadJoinFixture(t, f)
 	queries := []string{
 		"SELECT COUNT(*) FROM jpts p JOIN jareas a ON ST_Intersects(p.loc, a.shape)",
 		"SELECT COUNT(*), SUM(p.id), MIN(a.id), MAX(p.id) FROM jpts p JOIN jareas a ON ST_Contains(a.shape, p.loc)",
@@ -60,7 +63,7 @@ func TestJoinPushdownEquivalence(t *testing.T) {
 	for _, q := range queries {
 		compareQuery(t, q, q, f.single, f.cluster)
 	}
-	ss := f.cl.ShardStats()
+	ss := statsSince(f.cl, before)
 	if ss.JoinPushdowns != len(queries) {
 		t.Errorf("JoinPushdowns = %d, want %d (every aggregate join shard-local)",
 			ss.JoinPushdowns, len(queries))
@@ -76,7 +79,7 @@ func TestJoinPushdownEquivalence(t *testing.T) {
 // correct there.
 func TestJoinPushdownIneligible(t *testing.T) {
 	f := newRouterFixture(t)
-	loadJoinFixture(t, f)
+	before := loadJoinFixture(t, f)
 	queries := []string{
 		// Row-returning projection: not an aggregate shape.
 		"SELECT p.id, a.id FROM jpts p JOIN jareas a ON ST_Intersects(p.loc, a.shape)",
@@ -87,7 +90,7 @@ func TestJoinPushdownIneligible(t *testing.T) {
 	for _, q := range queries {
 		compareQuery(t, q, q, f.single, f.cluster)
 	}
-	ss := f.cl.ShardStats()
+	ss := statsSince(f.cl, before)
 	if ss.JoinPushdowns != 0 {
 		t.Errorf("JoinPushdowns = %d, want 0 for ineligible joins", ss.JoinPushdowns)
 	}
@@ -101,11 +104,11 @@ func TestJoinPushdownIneligible(t *testing.T) {
 // must observe fresh data, and DDL must retire the cache generation.
 func TestGatherEngineCache(t *testing.T) {
 	f := newRouterFixture(t)
-	loadJoinFixture(t, f)
+	before := loadJoinFixture(t, f)
 	q := "SELECT p.id, a.id FROM jpts p JOIN jareas a ON ST_Intersects(p.loc, a.shape)"
 	compareQuery(t, "gather run 1", q, f.single, f.cluster)
 	compareQuery(t, "gather run 2", q, f.single, f.cluster)
-	ss := f.cl.ShardStats()
+	ss := statsSince(f.cl, before)
 	if ss.GatherBuilds != 1 {
 		t.Fatalf("GatherBuilds = %d after two identical gathers, want 1 (cached reuse)", ss.GatherBuilds)
 	}
@@ -114,7 +117,7 @@ func TestGatherEngineCache(t *testing.T) {
 	// but must be visible to the next gather.
 	f.exec(t, "INSERT INTO jpts VALUES (500, ST_MakePoint(3, 3))")
 	compareQuery(t, "gather after insert", q, f.single, f.cluster)
-	ss = f.cl.ShardStats()
+	ss = statsSince(f.cl, before)
 	if ss.GatherBuilds != 1 {
 		t.Errorf("GatherBuilds = %d after DML, want still 1", ss.GatherBuilds)
 	}
@@ -122,7 +125,7 @@ func TestGatherEngineCache(t *testing.T) {
 	// Schema-shape DDL bumps the epoch: the stale engine is retired.
 	f.exec(t, "CREATE INDEX jpts_id ON jpts (id)")
 	compareQuery(t, "gather after DDL", q, f.single, f.cluster)
-	ss = f.cl.ShardStats()
+	ss = statsSince(f.cl, before)
 	if ss.GatherBuilds != 2 {
 		t.Errorf("GatherBuilds = %d after DDL, want 2 (epoch bump rebuilds)", ss.GatherBuilds)
 	}

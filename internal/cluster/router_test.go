@@ -150,6 +150,23 @@ func TestRouterReplicatedTable(t *testing.T) {
 	}
 }
 
+// statsSince returns the shard counters the cluster accumulated since
+// the snapshot before. Shards and Replicas are sizes, not counters, and
+// pass through.
+func statsSince(cl *cluster.Cluster, before driver.ShardStats) driver.ShardStats {
+	s := cl.ShardStats()
+	s.Scatters -= before.Scatters
+	s.ShardQueries -= before.ShardQueries
+	s.Pruned -= before.Pruned
+	s.PrunableSent -= before.PrunableSent
+	s.FastPathHits -= before.FastPathHits
+	s.HedgeFired -= before.HedgeFired
+	s.HedgeWon -= before.HedgeWon
+	s.GatherBuilds -= before.GatherBuilds
+	s.JoinPushdowns -= before.JoinPushdowns
+	return s
+}
+
 func TestRouterShardStats(t *testing.T) {
 	f := newRouterFixture(t)
 	f.exec(t, "CREATE TABLE pts (id INTEGER, loc GEOMETRY)")
@@ -158,13 +175,13 @@ func TestRouterShardStats(t *testing.T) {
 		(2, ST_MakePoint(90, 10)),
 		(3, ST_MakePoint(10, 90)),
 		(4, ST_MakePoint(90, 90))`)
-	f.cl.ResetShardStats()
+	before := f.cl.ShardStats()
 	// A window that only covers the south-west data should prune the
 	// other three shards.
 	if _, err := f.cluster.Query("SELECT id FROM pts WHERE ST_Intersects(loc, ST_MakeEnvelope(5, 5, 15, 15))"); err != nil {
 		t.Fatal(err)
 	}
-	ss := f.cl.ShardStats()
+	ss := statsSince(f.cl, before)
 	if ss.Shards != 4 {
 		t.Errorf("Shards = %d, want 4", ss.Shards)
 	}
@@ -181,7 +198,7 @@ func TestRouterShardStats(t *testing.T) {
 	if _, err := f.cluster.Query("SELECT COUNT(*) FROM pts"); err != nil {
 		t.Fatal(err)
 	}
-	ss = f.cl.ShardStats()
+	ss = statsSince(f.cl, before)
 	if ss.Scatters != 2 || ss.ShardQueries != 5 || ss.Pruned != 3 {
 		t.Errorf("after full scan stats = %+v, want 2 scatters, 5 shard queries, 3 pruned", ss)
 	}

@@ -25,7 +25,7 @@ type Options struct {
 	Clients int
 	// Parallelism records the engine's intra-query worker pool size for
 	// this run (0 = engine default). The runner does not configure the
-	// engine — callers set the knob (engine.SetParallelism) and report
+	// engine — callers open it with engine.WithParallelism and report
 	// the value here so results carry the dimension.
 	Parallelism int
 }
@@ -65,61 +65,9 @@ type MicroResult struct {
 	Unsupported bool
 	Err         error
 
-	// Cache hit ratios over the measured iterations (buffer pool,
-	// decoded-geometry cache, plan cache). -1 means unknown: the
-	// connection does not expose counters (remote engines) or the cache
-	// saw no traffic during the run.
-	PoolHitRatio      float64
-	GeomCacheHitRatio float64
-	PlanCacheHitRatio float64
-
-	// TopoPrepHitRatio is the fraction of exact topological predicate
-	// evaluations served through a prepared constant side over the
-	// measured iterations; -1 means unknown or no exact evaluations.
-	TopoPrepHitRatio float64
-
-	// AllocsPerRun and BytesPerRun are process-wide heap allocation
-	// deltas per measured iteration (runtime.MemStats Mallocs and
-	// TotalAlloc), sampled only for in-process connections, where the
-	// engine's work happens in this process. -1 means unknown (remote
-	// engine). Process-wide: concurrent background work inflates them.
-	AllocsPerRun float64
-	BytesPerRun  float64
-
-	// Shards and ShardPruneRate describe scatter-gather routing when the
-	// connection is a spatially-sharded cluster (detected by interface,
-	// like the cache counters): the cluster size and the fraction of
-	// per-shard queries spatial pruning avoided over the measured
-	// iterations. 0 / -1 when the target is not a cluster or nothing
-	// was prune-eligible.
-	Shards         int
-	ShardPruneRate float64
-
-	// ShardFastPath counts statements the cluster forwarded verbatim to a
-	// single shard; ShardHedgeFired/ShardHedgeWon count hedged second
-	// requests issued and won. All deltas over the measured iterations;
-	// 0 when the target is not a cluster.
-	ShardFastPath   int
-	ShardHedgeFired int
-	ShardHedgeWon   int
-
-	// WALFsyncs is the number of log fsyncs over the measured iterations
-	// and DirtyPages the buffer-pool dirty-page gauge sampled after them.
-	// -1 when the engine is not durable (the shard-column convention).
-	WALFsyncs  int
-	DirtyPages int
-
-	// JoinStrategy labels the spatial-join strategy that executed over
-	// the measured iterations ("inl", "pbsm", "mixed"); blank when no
-	// spatial join ran or the connection exposes no join counters
-	// (remote engines). PBSMCells and DedupDrops are the grid cells
-	// built and cross-cell duplicate pairs suppressed, -1 when unknown.
-	// JoinPushdown counts cluster joins answered shard-local, 0 when
-	// the target is not a cluster (the ShardFastPath convention).
-	JoinStrategy string
-	PBSMCells    int
-	DedupDrops   int
-	JoinPushdown int
+	// Counters are taken over the measured iterations; an op is one
+	// iteration.
+	Counters
 }
 
 // MacroResult is the measurement of one macro scenario on one engine.
@@ -143,41 +91,81 @@ type MacroResult struct {
 	Unsupported bool
 	Err         error
 
-	// Cache hit ratios over the measured phase; -1 means unknown (see
-	// MicroResult).
+	// Counters are taken over the measured phase; an op is one scenario
+	// operation.
+	Counters
+}
+
+// Counters are the engine, cluster and heap counters of one measured
+// region, as deltas between a snapshot before it and one after. Each
+// family is found on the connection by interface assertion; a family
+// the connection lacks, or a region in which no operation completed,
+// keeps the values of unknownCounters.
+type Counters struct {
+	// Cache hit ratios (buffer pool, decoded-geometry cache, plan
+	// cache). -1 means unknown: the connection does not expose counters
+	// (remote engines) or the cache saw no traffic.
 	PoolHitRatio      float64
 	GeomCacheHitRatio float64
 	PlanCacheHitRatio float64
 
-	// TopoPrepHitRatio as in MicroResult, over the measured phase.
+	// TopoPrepHitRatio is the fraction of exact topological predicate
+	// evaluations served through a prepared constant side; -1 means
+	// unknown or no exact evaluations.
 	TopoPrepHitRatio float64
 
-	// AllocsPerOp and BytesPerOp as in MicroResult (per operation,
-	// over the measured phase); -1 means unknown.
+	// AllocsPerOp and BytesPerOp are process-wide heap allocation
+	// deltas per op (runtime.MemStats Mallocs and TotalAlloc), sampled
+	// only for in-process connections, where the engine's work happens
+	// in this process. -1 means unknown (remote engine). Process-wide:
+	// concurrent background work inflates them.
 	AllocsPerOp float64
 	BytesPerOp  float64
 
-	// Shards and ShardPruneRate as in MicroResult, over the measured
-	// phase.
+	// Shards and ShardPruneRate describe scatter-gather routing when the
+	// connection is a spatially-sharded cluster: the cluster size and
+	// the fraction of per-shard queries spatial pruning avoided. 0 / -1
+	// when the target is not a cluster or nothing was prune-eligible.
 	Shards         int
 	ShardPruneRate float64
 
-	// ShardFastPath / ShardHedgeFired / ShardHedgeWon as in MicroResult,
-	// over the measured phase.
+	// ShardFastPath counts statements the cluster forwarded verbatim to a
+	// single shard; ShardHedgeFired/ShardHedgeWon count hedged second
+	// requests issued and won. 0 when the target is not a cluster.
 	ShardFastPath   int
 	ShardHedgeFired int
 	ShardHedgeWon   int
 
-	// WALFsyncs / DirtyPages as in MicroResult, over the measured phase.
+	// WALFsyncs is the number of log fsyncs and DirtyPages the
+	// buffer-pool dirty-page gauge sampled after the region. -1 when the
+	// engine is not durable (the shard-column convention).
 	WALFsyncs  int
 	DirtyPages int
 
-	// JoinStrategy / PBSMCells / DedupDrops / JoinPushdown as in
-	// MicroResult, over the measured phase.
+	// JoinStrategy labels the spatial-join strategy that executed
+	// ("inl", "pbsm", "mixed"); blank when no spatial join ran or the
+	// connection exposes no join counters (remote engines). PBSMCells
+	// and DedupDrops are the grid cells built and cross-cell duplicate
+	// pairs suppressed, -1 when unknown. JoinPushdown counts cluster
+	// joins answered shard-local, 0 when the target is not a cluster
+	// (the ShardFastPath convention).
 	JoinStrategy string
 	PBSMCells    int
 	DedupDrops   int
 	JoinPushdown int
+}
+
+// unknownCounters is the Counters value of a region nothing was
+// measured over.
+func unknownCounters() Counters {
+	return Counters{
+		PoolHitRatio: -1, GeomCacheHitRatio: -1, PlanCacheHitRatio: -1,
+		TopoPrepHitRatio: -1,
+		AllocsPerOp:      -1, BytesPerOp: -1,
+		ShardPruneRate: -1,
+		WALFsyncs:      -1, DirtyPages: -1,
+		PBSMCells: -1, DedupDrops: -1,
+	}
 }
 
 // cacheCounterConn is implemented by in-process connections that can
@@ -196,6 +184,79 @@ type shardStatsConn interface {
 // the engine's spatial-join strategy counters.
 type joinStatsConn interface {
 	JoinStats() sql.JoinStats
+}
+
+// counterSnapshot holds every counter a connection exposes at the start
+// of a measured region. The counters only ever grow, so the region's
+// traffic is the difference to a later reading.
+type counterSnapshot struct {
+	cc    cacheCounterConn
+	ss    shardStatsConn
+	js    joinStatsConn
+	cache engine.CacheCounters
+	shard driver.ShardStats
+	join  sql.JoinStats
+	mem   runtime.MemStats
+}
+
+// snapshotCounters reads the counters conn exposes. Heap statistics are
+// read only for connections with cache counters (in-process engines).
+func snapshotCounters(conn driver.Conn) *counterSnapshot {
+	s := &counterSnapshot{}
+	s.cc, _ = conn.(cacheCounterConn)
+	s.ss, _ = conn.(shardStatsConn)
+	s.js, _ = conn.(joinStatsConn)
+	if s.cc != nil {
+		s.cache = s.cc.CacheCounters()
+		runtime.ReadMemStats(&s.mem)
+	}
+	if s.ss != nil {
+		s.shard = s.ss.ShardStats()
+	}
+	if s.js != nil {
+		s.join = s.js.JoinStats()
+	}
+	return s
+}
+
+// delta reads the counters again and returns the region's Counters over
+// ops completed operations; unknownCounters when ops is 0.
+func (s *counterSnapshot) delta(ops int) Counters {
+	c := unknownCounters()
+	if ops == 0 {
+		return c
+	}
+	if s.cc != nil {
+		var mem runtime.MemStats
+		runtime.ReadMemStats(&mem)
+		c.AllocsPerOp = float64(mem.Mallocs-s.mem.Mallocs) / float64(ops)
+		c.BytesPerOp = float64(mem.TotalAlloc-s.mem.TotalAlloc) / float64(ops)
+		after, before := s.cc.CacheCounters(), s.cache
+		c.PoolHitRatio = cacheRatio(after.PoolHits-before.PoolHits, after.PoolMisses-before.PoolMisses)
+		c.GeomCacheHitRatio = cacheRatio(after.GeomHits-before.GeomHits, after.GeomMisses-before.GeomMisses)
+		c.PlanCacheHitRatio = cacheRatio(after.PlanHits-before.PlanHits, after.PlanMisses-before.PlanMisses)
+		c.TopoPrepHitRatio = cacheRatio(after.PrepHits-before.PrepHits, after.PrepMisses-before.PrepMisses)
+		if after.WALEnabled {
+			c.WALFsyncs = int(after.WALFsyncs - before.WALFsyncs)
+			c.DirtyPages = int(after.DirtyPages) // gauge, not a delta
+		}
+	}
+	if s.ss != nil {
+		after, before := s.ss.ShardStats(), s.shard
+		c.Shards = after.Shards
+		c.ShardPruneRate = pruneDelta(before, after)
+		c.ShardFastPath = after.FastPathHits - before.FastPathHits
+		c.ShardHedgeFired = after.HedgeFired - before.HedgeFired
+		c.ShardHedgeWon = after.HedgeWon - before.HedgeWon
+		c.JoinPushdown = after.JoinPushdowns - before.JoinPushdowns
+	}
+	if s.js != nil {
+		after, before := s.js.JoinStats(), s.join
+		c.JoinStrategy = joinStrategyLabel(before, after)
+		c.PBSMCells = int(after.Cells - before.Cells)
+		c.DedupDrops = int(after.DedupDrops - before.DedupDrops)
+	}
+	return c
 }
 
 // joinStrategyLabel classifies which spatial-join strategy executed
@@ -252,13 +313,8 @@ func RunMicro(connector driver.Connector, suite []MicroQuery, ctx *QueryContext,
 		res := MicroResult{
 			ID: q.ID, Name: q.Name, Category: q.Category,
 			Engine: connector.Name(), Runs: opts.Runs,
-			Parallelism:  opts.Parallelism,
-			PoolHitRatio: -1, GeomCacheHitRatio: -1, PlanCacheHitRatio: -1,
-			TopoPrepHitRatio: -1,
-			AllocsPerRun:     -1, BytesPerRun: -1,
-			ShardPruneRate: -1,
-			WALFsyncs:      -1, DirtyPages: -1,
-			PBSMCells: -1, DedupDrops: -1,
+			Parallelism: opts.Parallelism,
+			Counters:    unknownCounters(),
 		}
 		// Warmup (also surfaces unsupported functions cheaply).
 		aborted := false
@@ -273,25 +329,7 @@ func RunMicro(connector driver.Connector, suite []MicroQuery, ctx *QueryContext,
 			}
 		}
 		if !aborted {
-			cc, hasCC := conn.(cacheCounterConn)
-			var before engine.CacheCounters
-			if hasCC {
-				before = cc.CacheCounters()
-			}
-			ss, hasSS := conn.(shardStatsConn)
-			var ssBefore driver.ShardStats
-			if hasSS {
-				ssBefore = ss.ShardStats()
-			}
-			js, hasJS := conn.(joinStatsConn)
-			var jsBefore sql.JoinStats
-			if hasJS {
-				jsBefore = js.JoinStats()
-			}
-			var memBefore runtime.MemStats
-			if hasCC {
-				runtime.ReadMemStats(&memBefore)
-			}
+			snap := snapshotCounters(conn)
 			durations := make([]time.Duration, 0, opts.Runs)
 			for i := 0; i < opts.Runs; i++ {
 				query := q.SQL(ctx, opts.Warmup+i)
@@ -309,39 +347,9 @@ func RunMicro(connector driver.Connector, suite []MicroQuery, ctx *QueryContext,
 				durations = append(durations, elapsed)
 				res.Rows = len(rs.Rows)
 			}
+			res.Counters = snap.delta(len(durations))
 			if len(durations) > 0 {
 				fillStats(&res, durations)
-			}
-			if hasCC && len(durations) > 0 {
-				var memAfter runtime.MemStats
-				runtime.ReadMemStats(&memAfter)
-				n := float64(len(durations))
-				res.AllocsPerRun = float64(memAfter.Mallocs-memBefore.Mallocs) / n
-				res.BytesPerRun = float64(memAfter.TotalAlloc-memBefore.TotalAlloc) / n
-				after := cc.CacheCounters()
-				res.PoolHitRatio = cacheRatio(after.PoolHits-before.PoolHits, after.PoolMisses-before.PoolMisses)
-				res.GeomCacheHitRatio = cacheRatio(after.GeomHits-before.GeomHits, after.GeomMisses-before.GeomMisses)
-				res.PlanCacheHitRatio = cacheRatio(after.PlanHits-before.PlanHits, after.PlanMisses-before.PlanMisses)
-				res.TopoPrepHitRatio = cacheRatio(after.PrepHits-before.PrepHits, after.PrepMisses-before.PrepMisses)
-				if after.WALEnabled {
-					res.WALFsyncs = int(after.WALFsyncs - before.WALFsyncs)
-					res.DirtyPages = int(after.DirtyPages) // gauge, not a delta
-				}
-			}
-			if hasSS && len(durations) > 0 {
-				after := ss.ShardStats()
-				res.Shards = after.Shards
-				res.ShardPruneRate = pruneDelta(ssBefore, after)
-				res.ShardFastPath = after.FastPathHits - ssBefore.FastPathHits
-				res.ShardHedgeFired = after.HedgeFired - ssBefore.HedgeFired
-				res.ShardHedgeWon = after.HedgeWon - ssBefore.HedgeWon
-				res.JoinPushdown = after.JoinPushdowns - ssBefore.JoinPushdowns
-			}
-			if hasJS && len(durations) > 0 {
-				after := js.JoinStats()
-				res.JoinStrategy = joinStrategyLabel(jsBefore, after)
-				res.PBSMCells = int(after.Cells - jsBefore.Cells)
-				res.DedupDrops = int(after.DedupDrops - jsBefore.DedupDrops)
 			}
 		}
 		results = append(results, res)
@@ -381,13 +389,8 @@ func RunMacro(connector driver.Connector, sc MacroScenario, ctx *QueryContext, o
 	opts = opts.normalized()
 	res := MacroResult{
 		ID: sc.ID, Name: sc.Name, Engine: connector.Name(), Clients: opts.Clients,
-		Parallelism:  opts.Parallelism,
-		PoolHitRatio: -1, GeomCacheHitRatio: -1, PlanCacheHitRatio: -1,
-		TopoPrepHitRatio: -1,
-		AllocsPerOp:      -1, BytesPerOp: -1,
-		ShardPruneRate: -1,
-		WALFsyncs:      -1, DirtyPages: -1,
-		PBSMCells: -1, DedupDrops: -1,
+		Parallelism: opts.Parallelism,
+		Counters:    unknownCounters(),
 	}
 
 	// Feature probe: run one operation; an unsupported error marks the
@@ -416,37 +419,12 @@ func RunMacro(connector driver.Connector, sc MacroScenario, ctx *QueryContext, o
 	}
 	outs := make([]clientOut, opts.Clients)
 
-	// Snapshot the engine's cache counters around the measured phase via
-	// a dedicated connection (the counters are engine-global).
-	var before engine.CacheCounters
-	var statsCC cacheCounterConn
-	var ssBefore driver.ShardStats
-	var statsSS shardStatsConn
-	var jsBefore sql.JoinStats
-	var statsJS joinStatsConn
+	// Snapshot the engine's counters around the measured phase via a
+	// dedicated connection (the counters are engine-global).
+	var snap *counterSnapshot
 	if statsConn, err := connector.Connect(); err == nil {
-		if cc, ok := statsConn.(cacheCounterConn); ok {
-			statsCC = cc
-			before = cc.CacheCounters()
-		}
-		if ss, ok := statsConn.(shardStatsConn); ok {
-			statsSS = ss
-			ssBefore = ss.ShardStats()
-		}
-		if js, ok := statsConn.(joinStatsConn); ok {
-			statsJS = js
-			jsBefore = js.JoinStats()
-		}
-		if statsCC != nil || statsSS != nil || statsJS != nil {
-			defer statsConn.Close()
-		} else {
-			statsConn.Close()
-		}
-	}
-
-	var memBefore runtime.MemStats
-	if statsCC != nil {
-		runtime.ReadMemStats(&memBefore)
+		defer statsConn.Close()
+		snap = snapshotCounters(statsConn)
 	}
 
 	var wg sync.WaitGroup
@@ -508,37 +486,8 @@ func RunMacro(connector driver.Connector, sc MacroScenario, ctx *QueryContext, o
 		res.P95Latency = quantile(durs, 95)
 		res.P99Latency = quantile(durs, 99)
 	}
-	if statsCC != nil {
-		if res.Ops > 0 {
-			var memAfter runtime.MemStats
-			runtime.ReadMemStats(&memAfter)
-			res.AllocsPerOp = float64(memAfter.Mallocs-memBefore.Mallocs) / float64(res.Ops)
-			res.BytesPerOp = float64(memAfter.TotalAlloc-memBefore.TotalAlloc) / float64(res.Ops)
-		}
-		after := statsCC.CacheCounters()
-		res.PoolHitRatio = cacheRatio(after.PoolHits-before.PoolHits, after.PoolMisses-before.PoolMisses)
-		res.GeomCacheHitRatio = cacheRatio(after.GeomHits-before.GeomHits, after.GeomMisses-before.GeomMisses)
-		res.PlanCacheHitRatio = cacheRatio(after.PlanHits-before.PlanHits, after.PlanMisses-before.PlanMisses)
-		res.TopoPrepHitRatio = cacheRatio(after.PrepHits-before.PrepHits, after.PrepMisses-before.PrepMisses)
-		if after.WALEnabled {
-			res.WALFsyncs = int(after.WALFsyncs - before.WALFsyncs)
-			res.DirtyPages = int(after.DirtyPages) // gauge, not a delta
-		}
-	}
-	if statsSS != nil {
-		after := statsSS.ShardStats()
-		res.Shards = after.Shards
-		res.ShardPruneRate = pruneDelta(ssBefore, after)
-		res.ShardFastPath = after.FastPathHits - ssBefore.FastPathHits
-		res.ShardHedgeFired = after.HedgeFired - ssBefore.HedgeFired
-		res.ShardHedgeWon = after.HedgeWon - ssBefore.HedgeWon
-		res.JoinPushdown = after.JoinPushdowns - ssBefore.JoinPushdowns
-	}
-	if statsJS != nil {
-		after := statsJS.JoinStats()
-		res.JoinStrategy = joinStrategyLabel(jsBefore, after)
-		res.PBSMCells = int(after.Cells - jsBefore.Cells)
-		res.DedupDrops = int(after.DedupDrops - jsBefore.DedupDrops)
+	if snap != nil {
+		res.Counters = snap.delta(res.Ops)
 	}
 	return res
 }

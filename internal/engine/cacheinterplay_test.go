@@ -43,19 +43,19 @@ func TestGeomCacheUnderFramePressure(t *testing.T) {
 
 	const q = "SELECT COUNT(*) FROM landmarks WHERE ST_Intersects(geo, ST_MakeEnvelope(10, 10, 40, 40))"
 	first := e.MustExec(q)
-	e.ResetCacheStats()
+	psBefore, ccBefore := e.Pool().Stats(), e.CacheCounters()
 	second := e.MustExec(q)
 	if first.Rows[0][0].Int != second.Rows[0][0].Int {
 		t.Fatalf("count drifted across runs: %v vs %v", first.Rows[0][0], second.Rows[0][0])
 	}
 
 	ps := e.Pool().Stats()
-	if ps.Evictions == 0 {
+	if ps.Evictions == psBefore.Evictions {
 		t.Errorf("pool saw no evictions under frame pressure: %+v (cached pages %d)",
 			ps, e.Pool().CachedPages())
 	}
 	cc := e.CacheCounters()
-	if cc.GeomHits == 0 {
+	if cc.GeomHits == ccBefore.GeomHits {
 		t.Errorf("geometry cache served no hits on the repeat scan: %+v", cc)
 	}
 }
@@ -73,11 +73,11 @@ func TestMissPenaltyOnlyOnRealMisses(t *testing.T) {
 	e.Pool().MissPenalty = penalty
 	defer func() { e.Pool().MissPenalty = 0 }()
 
-	e.ResetCacheStats()
+	before := e.Pool().Stats().Misses
 	start := time.Now()
 	e.MustExec(q)
 	warm := time.Since(start)
-	if m := e.Pool().Stats().Misses; m != 0 {
+	if m := e.Pool().Stats().Misses - before; m != 0 {
 		t.Fatalf("warm scan took %d pool misses", m)
 	}
 	if warm >= penalty {
@@ -88,11 +88,11 @@ func TestMissPenaltyOnlyOnRealMisses(t *testing.T) {
 	if err := e.Pool().DropAll(); err != nil {
 		t.Fatal(err)
 	}
-	e.ResetCacheStats()
+	before = e.Pool().Stats().Misses
 	start = time.Now()
 	e.MustExec(q)
 	cold := time.Since(start)
-	if m := e.Pool().Stats().Misses; m == 0 {
+	if m := e.Pool().Stats().Misses - before; m == 0 {
 		t.Fatal("cold scan after DropAll saw no pool misses")
 	}
 	if cold < penalty {
@@ -100,34 +100,29 @@ func TestMissPenaltyOnlyOnRealMisses(t *testing.T) {
 	}
 }
 
-// TestResetCacheStatsBetweenRuns: ResetCacheStats zeroes every layer's
-// counters without discarding contents, so a timed run measures only
-// its own traffic against already-warm caches.
-func TestResetCacheStatsBetweenRuns(t *testing.T) {
+// TestWarmRepeatHitsEveryLayer: a repeat of a query against warm
+// caches is all hits and no misses in every layer, measured as the
+// difference of counter snapshots taken around it.
+func TestWarmRepeatHitsEveryLayer(t *testing.T) {
 	e := newTestEngine(t)
 	loadGrid(t, e, 6)
 	const q = "SELECT id FROM landmarks WHERE ST_Intersects(geo, ST_MakeEnvelope(0, 0, 4, 4))"
 	e.MustExec(q)
 	e.MustExec(q)
 
-	if cc := e.CacheCounters(); cc.PoolHits+cc.GeomHits+cc.PlanHits == 0 {
-		t.Fatalf("warmup recorded no cache activity: %+v", cc)
+	before := e.CacheCounters()
+	if before.PoolHits+before.GeomHits+before.PlanHits == 0 {
+		t.Fatalf("warmup recorded no cache activity: %+v", before)
 	}
-	e.ResetCacheStats()
-	if cc := e.CacheCounters(); cc != (CacheCounters{}) {
-		t.Fatalf("counters after reset: %+v", cc)
-	}
-
-	// Contents survived: one repeat is all hits, no misses, in every layer.
 	e.MustExec(q)
 	cc := e.CacheCounters()
-	if cc.PlanHits != 1 || cc.PlanMisses != 0 {
-		t.Errorf("plan counters after reset+repeat: hits=%d misses=%d", cc.PlanHits, cc.PlanMisses)
+	if hits, misses := cc.PlanHits-before.PlanHits, cc.PlanMisses-before.PlanMisses; hits != 1 || misses != 0 {
+		t.Errorf("plan counters over the repeat: hits=%d misses=%d", hits, misses)
 	}
-	if cc.GeomHits == 0 || cc.GeomMisses != 0 {
-		t.Errorf("geom counters after reset+repeat: hits=%d misses=%d", cc.GeomHits, cc.GeomMisses)
+	if hits, misses := cc.GeomHits-before.GeomHits, cc.GeomMisses-before.GeomMisses; hits == 0 || misses != 0 {
+		t.Errorf("geom counters over the repeat: hits=%d misses=%d", hits, misses)
 	}
-	if cc.PoolMisses != 0 {
-		t.Errorf("pool took %d misses on a warm repeat", cc.PoolMisses)
+	if misses := cc.PoolMisses - before.PoolMisses; misses != 0 {
+		t.Errorf("pool took %d misses on a warm repeat", misses)
 	}
 }

@@ -14,7 +14,7 @@ import (
 	"jackpine/internal/storage/wal"
 )
 
-// defaultPoolPages sizes the buffer pool when the profile does not
+// defaultPoolPages sizes the buffer pool unless WithPoolPages does
 // (4096 pages = 32 MiB).
 const defaultPoolPages = 4096
 
@@ -58,22 +58,14 @@ type Engine struct {
 type Option func(*options)
 
 type options struct {
-	store        storage.PageStore
-	poolPages    int
-	parallelism  int
-	parSet       bool
-	geomBytes    int
-	geomSet      bool
-	planEntries  int
-	planSet      bool
-	topoPrep     bool
-	topoPrepSet  bool
-	batchExec    bool
-	batchSet     bool
-	batchSize    int
-	batchSizeSet bool
-	joinStrat    sql.JoinStrategy
-	joinStratSet bool
+	store       storage.PageStore
+	poolPages   int
+	parallelism int
+	geomBytes   int
+	planEntries int
+	topoPrep    bool
+	batchExec   bool
+	joinStrat   sql.JoinStrategy
 }
 
 // WithStore backs the engine with a custom page store (e.g. a FileStore).
@@ -81,28 +73,29 @@ func WithStore(s storage.PageStore) Option {
 	return func(o *options) { o.store = s }
 }
 
-// WithPoolPages overrides the buffer pool size in pages.
+// WithPoolPages overrides the buffer pool size in pages. n == 0 keeps
+// the default (4096 pages).
 func WithPoolPages(n int) Option {
 	return func(o *options) { o.poolPages = n }
 }
 
 // WithParallelism sizes the worker pool used for parallel-eligible
-// query plans. n <= 0 means GOMAXPROCS; 1 forces serial execution.
-// Overrides the profile's Parallelism.
+// query plans. n <= 0 means GOMAXPROCS (the default); 1 forces serial
+// execution.
 func WithParallelism(n int) Option {
-	return func(o *options) { o.parallelism = n; o.parSet = true }
+	return func(o *options) { o.parallelism = n }
 }
 
 // WithGeomCache budgets the decoded-geometry cache in bytes. bytes <= 0
 // disables it. Default: 16 MiB.
 func WithGeomCache(bytes int) Option {
-	return func(o *options) { o.geomBytes = bytes; o.geomSet = true }
+	return func(o *options) { o.geomBytes = bytes }
 }
 
 // WithPlanCache bounds the prepared-statement (plan) cache in entries.
 // entries <= 0 disables it. Default: 256.
 func WithPlanCache(entries int) Option {
-	return func(o *options) { o.planEntries = entries; o.planSet = true }
+	return func(o *options) { o.planEntries = entries }
 }
 
 // WithTopoPrep toggles prepared-geometry evaluation of topological
@@ -112,7 +105,7 @@ func WithPlanCache(entries int) Option {
 // MBR profiles ignore the setting (approximate evaluation has nothing
 // to prepare).
 func WithTopoPrep(enabled bool) Option {
-	return func(o *options) { o.topoPrep = enabled; o.topoPrepSet = true }
+	return func(o *options) { o.topoPrep = enabled }
 }
 
 // WithBatchExec toggles batch-at-a-time (vectorized) stage-0 query
@@ -121,25 +114,25 @@ func WithTopoPrep(enabled bool) Option {
 // row per callback. Default: enabled. Plans batching does not cover
 // (kNN, index seeks, bare LIMIT) use the row path either way.
 func WithBatchExec(enabled bool) Option {
-	return func(o *options) { o.batchExec = enabled; o.batchSet = true }
-}
-
-// WithBatchSize overrides the number of row slots per column batch.
-// n <= 0 means the default (256).
-func WithBatchSize(n int) Option {
-	return func(o *options) { o.batchSize = n; o.batchSizeSet = true }
+	return func(o *options) { o.batchExec = enabled }
 }
 
 // WithJoinStrategy forces the spatial-join strategy: sql.JoinAuto
 // (cost-based, the default), sql.JoinINL (per-outer-row index probes)
 // or sql.JoinPBSM (partitioned sweep whenever structurally eligible).
 func WithJoinStrategy(s sql.JoinStrategy) Option {
-	return func(o *options) { o.joinStrat = s; o.joinStratSet = true }
+	return func(o *options) { o.joinStrat = s }
 }
 
-// Open creates an engine with the given profile.
+// Open creates an engine with the given profile. Its configuration is
+// fixed from then on.
 func Open(profile Profile, opts ...Option) *Engine {
-	var o options
+	o := options{
+		geomBytes:   defaultGeomCacheBytes,
+		planEntries: defaultPlanCacheEntries,
+		topoPrep:    true,
+		batchExec:   true,
+	}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -147,16 +140,7 @@ func Open(profile Profile, opts ...Option) *Engine {
 		o.store = storage.NewMemStore()
 	}
 	if o.poolPages == 0 {
-		o.poolPages = profile.BufferPoolPages
-	}
-	if o.poolPages == 0 {
 		o.poolPages = defaultPoolPages
-	}
-	if !o.geomSet {
-		o.geomBytes = defaultGeomCacheBytes
-	}
-	if !o.planSet {
-		o.planEntries = defaultPlanCacheEntries
 	}
 	e := &Engine{
 		profile:   profile,
@@ -167,109 +151,14 @@ func Open(profile Profile, opts ...Option) *Engine {
 		tables:    make(map[string]*table),
 		reg:       sql.NewRegistry(profile.registryOptions()),
 	}
-	e.runner = sql.NewRunner(e, e.reg)
-	par := profile.Parallelism
-	if o.parSet {
-		par = o.parallelism
-	}
-	e.runner.SetParallelism(par)
-	if o.topoPrepSet {
-		e.runner.SetTopoPrep(o.topoPrep)
-	}
-	if o.batchSet {
-		e.runner.SetBatchExec(o.batchExec)
-	}
-	if o.batchSizeSet {
-		e.runner.SetBatchSize(o.batchSize)
-	}
-	if o.joinStratSet {
-		e.runner.SetJoinStrategy(o.joinStrat)
-	}
+	e.runner = sql.NewRunner(e, e.reg, o.parallelism, o.topoPrep, o.batchExec, o.joinStrat)
 	return e
-}
-
-// SetParallelism resizes the intra-query worker pool at runtime.
-// n <= 0 resets to GOMAXPROCS; 1 forces serial execution.
-func (e *Engine) SetParallelism(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.runner.SetParallelism(n)
-}
-
-// Parallelism reports the configured worker pool size.
-func (e *Engine) Parallelism() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.runner.Parallelism()
-}
-
-// SetTopoPrep toggles prepared-geometry predicate evaluation at
-// runtime.
-func (e *Engine) SetTopoPrep(enabled bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.runner.SetTopoPrep(enabled)
-}
-
-// TopoPrep reports whether prepared-geometry evaluation is enabled.
-func (e *Engine) TopoPrep() bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.runner.TopoPrep()
-}
-
-// SetBatchExec toggles batch-at-a-time query execution at runtime.
-func (e *Engine) SetBatchExec(enabled bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.runner.SetBatchExec(enabled)
-}
-
-// BatchExec reports whether batch execution is enabled.
-func (e *Engine) BatchExec() bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.runner.BatchExec()
-}
-
-// SetBatchSize changes the column-batch row capacity at runtime.
-// n <= 0 resets to the default.
-func (e *Engine) SetBatchSize(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.runner.SetBatchSize(n)
-}
-
-// BatchSize reports the configured column-batch row capacity.
-func (e *Engine) BatchSize() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.runner.BatchSize()
-}
-
-// SetJoinStrategy changes the spatial-join strategy at runtime.
-func (e *Engine) SetJoinStrategy(s sql.JoinStrategy) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.runner.SetJoinStrategy(s)
-}
-
-// JoinStrategy reports the configured spatial-join strategy.
-func (e *Engine) JoinStrategy() sql.JoinStrategy {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.runner.JoinStrategy()
 }
 
 // JoinStats reports cumulative spatial-join activity: joins per
 // strategy, PBSM grid cells built, and reference-point dedup drops.
 func (e *Engine) JoinStats() sql.JoinStats {
 	return e.runner.JoinStats()
-}
-
-// ResetJoinStats zeroes the spatial-join counters.
-func (e *Engine) ResetJoinStats() {
-	e.runner.ResetJoinStats()
 }
 
 // BatchStats reports cumulative batch-execution activity: batches
@@ -279,19 +168,11 @@ func (e *Engine) BatchStats() (batches, rows int64) {
 	return e.runner.BatchStats()
 }
 
-// ResetBatchStats zeroes the batch activity counters.
-func (e *Engine) ResetBatchStats() {
-	e.runner.ResetBatchStats()
-}
-
 // Profile returns the engine's profile.
 func (e *Engine) Profile() Profile { return e.profile }
 
 // Pool exposes the buffer pool (cache experiments).
 func (e *Engine) Pool() *storage.BufferPool { return e.pool }
-
-// GeomCache exposes the decoded-geometry cache; nil when disabled.
-func (e *Engine) GeomCache() *storage.GeomCache { return e.geomCache }
 
 // PlanCacheStats snapshots the prepared-statement cache counters.
 func (e *Engine) PlanCacheStats() PlanCacheStats { return e.plans.snapshot() }
@@ -342,15 +223,6 @@ func (e *Engine) CacheCounters() CacheCounters {
 		out.DirtyPages = uint64(e.pool.DirtyPages())
 	}
 	return out
-}
-
-// ResetCacheStats zeroes the activity counters of every cache layer
-// (contents are kept), so timed runs measure only their own traffic.
-func (e *Engine) ResetCacheStats() {
-	e.pool.ResetStats()
-	e.geomCache.ResetStats()
-	e.plans.resetStats()
-	e.reg.ResetPreparedCounters()
 }
 
 // Close releases the backing store. Durable engines checkpoint first,

@@ -10,9 +10,9 @@ import (
 )
 
 // newTestEngine opens a GaiaDB-profile engine with a small schema.
-func newTestEngine(t *testing.T) *Engine {
+func newTestEngine(t *testing.T, opts ...Option) *Engine {
 	t.Helper()
-	e := Open(GaiaDB())
+	e := Open(GaiaDB(), opts...)
 	e.MustExec("CREATE TABLE landmarks (id INTEGER, name TEXT, geo GEOMETRY)")
 	e.MustExec("CREATE TABLE cities (id INTEGER, name TEXT, pop INTEGER, loc GEOMETRY)")
 	return e

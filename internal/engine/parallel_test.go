@@ -12,9 +12,9 @@ import (
 
 // bigGridEngine loads a 20×20 grid (400 landmarks — above the executor's
 // 256-row parallel threshold) with a spatial index.
-func bigGridEngine(t *testing.T) *Engine {
+func bigGridEngine(t *testing.T, opts ...Option) *Engine {
 	t.Helper()
-	e := newTestEngine(t)
+	e := newTestEngine(t, opts...)
 	loadGrid(t, e, 20)
 	e.MustExec("CREATE SPATIAL INDEX lidx ON landmarks (geo)")
 	return e
@@ -36,7 +36,11 @@ func rowsString(res *sql.Result) string {
 }
 
 func TestParallelMatchesSerial(t *testing.T) {
-	e := bigGridEngine(t)
+	serialEng := bigGridEngine(t, WithParallelism(1))
+	parallel := map[int]*Engine{}
+	for _, par := range []int{2, 4, 8} {
+		parallel[par] = bigGridEngine(t, WithParallelism(par))
+	}
 	queries := []string{
 		// Full scan, ORDER BY sink.
 		"SELECT id, name FROM landmarks ORDER BY id DESC",
@@ -52,11 +56,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 		"SELECT COUNT(*) FROM landmarks WHERE id >= 100 AND ST_Area(geo) > 0.5",
 	}
 	for _, q := range queries {
-		e.SetParallelism(1)
-		serial := rowsString(e.MustExec(q))
+		serial := rowsString(serialEng.MustExec(q))
 		for _, par := range []int{2, 4, 8} {
-			e.SetParallelism(par)
-			if got := rowsString(e.MustExec(q)); got != serial {
+			if got := rowsString(parallel[par].MustExec(q)); got != serial {
 				t.Errorf("%s: parallelism %d diverges\nserial:\n%s\ngot:\n%s", q, par, serial, got)
 			}
 		}
@@ -64,8 +66,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 }
 
 func TestParallelAccessLabelAndExplain(t *testing.T) {
-	e := bigGridEngine(t)
-	e.SetParallelism(4)
+	e := bigGridEngine(t, WithParallelism(4))
 
 	res := e.MustExec("SELECT COUNT(*) FROM landmarks")
 	if len(res.Access) != 1 || res.Access[0] != "landmarks:parallel seqscan (4 workers)" {
@@ -84,10 +85,9 @@ func TestParallelAccessLabelAndExplain(t *testing.T) {
 }
 
 func TestParallelGating(t *testing.T) {
-	e := bigGridEngine(t)
+	e := bigGridEngine(t, WithParallelism(4))
 	e.MustExec("CREATE INDEX nidx ON landmarks (name)")
 	e.MustExec("INSERT INTO cities VALUES (1, 'a', 10, ST_GeomFromText('POINT (1 1)')), (2, 'b', 20, ST_GeomFromText('POINT (2 2)'))")
-	e.SetParallelism(4)
 
 	serial := []struct{ q, access string }{
 		// LIMIT without ORDER BY keeps the serial early-exit scan.
@@ -107,32 +107,32 @@ func TestParallelGating(t *testing.T) {
 	}
 
 	// Parallelism 1 disables fan-out even on big scans.
-	e.SetParallelism(1)
-	res := e.MustExec("SELECT COUNT(*) FROM landmarks")
+	res := bigGridEngine(t, WithParallelism(1)).MustExec("SELECT COUNT(*) FROM landmarks")
 	if len(res.Access) != 1 || res.Access[0] != "landmarks:seqscan" {
 		t.Errorf("serial engine access = %v", res.Access)
 	}
 }
 
 func TestParallelismKnobs(t *testing.T) {
-	if got := Open(GaiaDB(), WithParallelism(3)).Parallelism(); got != 3 {
-		t.Errorf("WithParallelism(3) = %d", got)
+	scanAccess := func(e *Engine) string {
+		res := e.MustExec("SELECT COUNT(*) FROM landmarks")
+		if len(res.Access) != 1 {
+			t.Fatalf("access = %v", res.Access)
+		}
+		return res.Access[0]
 	}
-	if got := Open(GaiaDB()).Parallelism(); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("default parallelism = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
+	if got := scanAccess(bigGridEngine(t, WithParallelism(3))); got != "landmarks:parallel seqscan (3 workers)" {
+		t.Errorf("WithParallelism(3): access = %q", got)
 	}
-	p := GaiaDB()
-	p.Parallelism = 5
-	if got := Open(p).Parallelism(); got != 5 {
-		t.Errorf("profile parallelism = %d", got)
+	want := "landmarks:seqscan"
+	if n := runtime.GOMAXPROCS(0); n > 1 {
+		want = fmt.Sprintf("landmarks:parallel seqscan (%d workers)", n)
 	}
-	if got := Open(p, WithParallelism(2)).Parallelism(); got != 2 {
-		t.Errorf("option should override profile: %d", got)
+	if got := scanAccess(bigGridEngine(t)); got != want {
+		t.Errorf("default parallelism: access = %q, want GOMAXPROCS plan %q", got, want)
 	}
-	e := Open(p)
-	e.SetParallelism(0)
-	if got := e.Parallelism(); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("SetParallelism(0) = %d", got)
+	if got := scanAccess(bigGridEngine(t, WithParallelism(0))); got != want {
+		t.Errorf("WithParallelism(0): access = %q, want GOMAXPROCS plan %q", got, want)
 	}
 }
 
@@ -141,8 +141,7 @@ func TestParallelismKnobs(t *testing.T) {
 // lock. Run under -race this catches EXPLAIN planning against a moving
 // catalog.
 func TestConcurrentExplainAndQueries(t *testing.T) {
-	e := bigGridEngine(t)
-	e.SetParallelism(4)
+	e := bigGridEngine(t, WithParallelism(4))
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for g := 0; g < 4; g++ {

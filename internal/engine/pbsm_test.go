@@ -134,10 +134,6 @@ func TestPBSMAutoChoosesSweep(t *testing.T) {
 	if st.PBSM != 1 || st.Cells == 0 {
 		t.Errorf("join stats = %+v, want one PBSM join with cells > 0", st)
 	}
-	e.ResetJoinStats()
-	if st := e.JoinStats(); st != (sql.JoinStats{}) {
-		t.Errorf("reset left %+v", st)
-	}
 }
 
 // TestPBSMAutoKeepsINLWhenSelective: a selective outer (btree seek)

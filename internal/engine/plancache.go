@@ -116,16 +116,6 @@ func (c *planCache) snapshot() PlanCacheStats {
 	return c.stats
 }
 
-// resetStats zeroes the activity counters (entries are kept).
-func (c *planCache) resetStats() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.stats = PlanCacheStats{}
-	c.mu.Unlock()
-}
-
 // len reports the number of cached statements.
 func (c *planCache) len() int {
 	if c == nil {

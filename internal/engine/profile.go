@@ -45,12 +45,6 @@ type Profile struct {
 	DisabledFunctions []string
 	// GridDim is the grid resolution per axis for IndexGrid profiles.
 	GridDim int
-	// BufferPoolPages sizes the buffer pool (0 = default 4096 pages,
-	// i.e. 32 MiB).
-	BufferPoolPages int
-	// Parallelism sizes the intra-query worker pool for eligible plans
-	// (0 = GOMAXPROCS, 1 = serial). WithParallelism overrides it.
-	Parallelism int
 }
 
 // GaiaDB returns the PostGIS-like profile.

@@ -16,6 +16,7 @@ import (
 	"jackpine/internal/core"
 	"jackpine/internal/driver"
 	"jackpine/internal/engine"
+	"jackpine/internal/storage"
 	"jackpine/internal/tiger"
 )
 
@@ -397,14 +398,19 @@ func RunE9(w io.Writer, cfg Config) error {
 			fmt.Sprintf("SELECT id, ST_AsText(geo) FROM edges WHERE ST_Intersects(geo, %s)", win))
 	}
 	run := func() (time.Duration, float64, error) {
-		eng.Pool().ResetStats()
+		before := eng.Pool().Stats()
 		start := time.Now()
 		for _, q := range queries {
 			if _, err := conn.Query(q); err != nil {
 				return 0, 0, err
 			}
 		}
-		return time.Since(start), eng.Pool().Stats().HitRatio(), nil
+		elapsed := time.Since(start)
+		after := eng.Pool().Stats()
+		return elapsed, storage.PoolStats{
+			Hits:   after.Hits - before.Hits,
+			Misses: after.Misses - before.Misses,
+		}.HitRatio(), nil
 	}
 	if err := eng.Pool().DropAll(); err != nil {
 		return err
@@ -520,9 +526,10 @@ func RunE12(w io.Writer, cfg Config) error {
 // scan-heavy aggregate (MA2, full scan over edges) and a
 // refinement-heavy spatial window (MA6, R-tree candidates + exact
 // distance refinement over pointlm) at increasing worker counts on
-// GaiaDB. Results are identical at every parallelism level; only the
-// response time moves. (Tables below the 256-row parallel threshold
-// keep the serial plan regardless of the knob.)
+// GaiaDB, one engine per worker count. Results are identical at every
+// parallelism level; only the response time moves. (Tables below the
+// 256-row parallel threshold keep the serial plan regardless of the
+// worker count.)
 func RunE13(w io.Writer, cfg Config, workers []int) error {
 	header(w, "E13", "intra-query parallelism scaling", cfg)
 	ds := tiger.Generate(cfg.Scale, cfg.Seed)
@@ -534,12 +541,6 @@ func RunE13(w io.Writer, cfg Config, workers []int) error {
 			queries = append(queries, q)
 		}
 	}
-	eng := engine.Open(engine.GaiaDB())
-	if err := tiger.Load(engineExecer{eng}, ds, true); err != nil {
-		return err
-	}
-	conn := driver.NewInProc(eng)
-
 	fmt.Fprintf(w, "machine: %d CPUs (GOMAXPROCS %d)\n\n", runtime.NumCPU(), runtime.GOMAXPROCS(0))
 	fmt.Fprintf(w, "%-9s", "workers")
 	for _, q := range queries {
@@ -548,12 +549,14 @@ func RunE13(w io.Writer, cfg Config, workers []int) error {
 	fmt.Fprintln(w)
 	base := make([]time.Duration, len(queries))
 	for _, n := range workers {
-		eng.SetParallelism(n)
+		eng := engine.Open(engine.GaiaDB(), engine.WithParallelism(n))
+		if err := tiger.Load(engineExecer{eng}, ds, true); err != nil {
+			return err
+		}
 		opts := cfg.Opts
 		opts.Parallelism = n
-		res, err := core.RunMicro(conn, queries, ctx, opts)
+		res, err := core.RunMicro(driver.NewInProc(eng), queries, ctx, opts)
 		if err != nil {
-			eng.SetParallelism(0)
 			return err
 		}
 		fmt.Fprintf(w, "%-9d", n)
@@ -565,7 +568,6 @@ func RunE13(w io.Writer, cfg Config, workers []int) error {
 		}
 		fmt.Fprintln(w)
 	}
-	eng.SetParallelism(0)
 	return nil
 }
 
@@ -628,7 +630,7 @@ func RunE14(w io.Writer, cfg Config) error {
 		// Collect the previous config's engine before timing, so later
 		// configs don't pay its GC debt.
 		runtime.GC()
-		eng.ResetCacheStats()
+		before := eng.CacheCounters()
 		coldTime, err := run()
 		if err != nil {
 			conn.Close()
@@ -648,14 +650,16 @@ func RunE14(w io.Writer, cfg Config) error {
 		warmTime := warmTotal / warmRuns
 		cc := eng.CacheCounters()
 		conn.Close()
+		geomHits, geomMisses := cc.GeomHits-before.GeomHits, cc.GeomMisses-before.GeomMisses
+		planHits, planMisses := cc.PlanHits-before.PlanHits, cc.PlanMisses-before.PlanMisses
 		if c.name == "none" {
 			warmNone = warmTime
 		}
 		fmt.Fprintf(w, "%-10s %14s %14s %8.2fx %9s %9s\n",
 			c.name, coldTime.Round(time.Microsecond), warmTime.Round(time.Microsecond),
 			float64(warmNone)/float64(warmTime),
-			fmtHitRatio(cc.GeomHits, cc.GeomMisses),
-			fmtHitRatio(cc.PlanHits, cc.PlanMisses))
+			fmtHitRatio(geomHits, geomMisses),
+			fmtHitRatio(planHits, planMisses))
 	}
 	return nil
 }
@@ -754,7 +758,7 @@ func RunE16(w io.Writer, cfg Config) error {
 			return err
 		}
 		runtime.GC()
-		eng.ResetCacheStats()
+		before := eng.CacheCounters()
 		const runs = 5
 		var total time.Duration
 		for i := 0; i < runs; i++ {
@@ -768,13 +772,14 @@ func RunE16(w io.Writer, cfg Config) error {
 		mean := total / runs
 		cc := eng.CacheCounters()
 		conn.Close()
+		prepHits, prepMisses := cc.PrepHits-before.PrepHits, cc.PrepMisses-before.PrepMisses
 		if c.name == "off" {
 			offTime = mean
 		}
 		fmt.Fprintf(w, "%-8s %14s %8.2fx %9s\n",
 			c.name, mean.Round(time.Microsecond),
 			float64(offTime)/float64(mean),
-			fmtHitRatio(cc.PrepHits, cc.PrepMisses))
+			fmtHitRatio(prepHits, prepMisses))
 	}
 	return nil
 }
@@ -819,8 +824,7 @@ const e17Windows = 5
 // counts are averaged over all passes (they are deterministic). The
 // returned map is keyed by query ID.
 func MeasureE17(ds *tiger.Dataset, ctx *core.QueryContext, batch bool, runs int) (map[string]E17Measurement, error) {
-	eng := engine.Open(engine.GaiaDB(), engine.WithBatchExec(batch))
-	eng.SetParallelism(1)
+	eng := engine.Open(engine.GaiaDB(), engine.WithBatchExec(batch), engine.WithParallelism(1))
 	if err := tiger.Load(engineExecer{eng}, ds, true); err != nil {
 		return nil, err
 	}

@@ -120,7 +120,6 @@ func MeasureE18(cfg Config, dir string) ([]E18Cell, E18Stats, error) {
 		if err := reopened.Pool().DropAll(); err != nil {
 			return nil, st, err
 		}
-		reopened.ResetCacheStats()
 		res, err := core.RunMicro(conn, []core.MicroQuery{q}, ctx, coldOpts)
 		if err != nil {
 			return nil, st, err

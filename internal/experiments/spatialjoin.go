@@ -61,8 +61,7 @@ func e19Runs(cfg Config) int {
 // the forced strategy actually executed — a forced PBSM run that fell
 // back to index nested loops would silently measure the wrong thing.
 func MeasureE19(ds *tiger.Dataset, ctx *core.QueryContext, strat sql.JoinStrategy, parallelism, runs int) (E19Cell, error) {
-	eng := engine.Open(engine.GaiaDB(), engine.WithJoinStrategy(strat))
-	eng.SetParallelism(parallelism)
+	eng := engine.Open(engine.GaiaDB(), engine.WithJoinStrategy(strat), engine.WithParallelism(parallelism))
 	if err := tiger.Load(engineExecer{eng}, ds, true); err != nil {
 		return E19Cell{}, err
 	}

@@ -341,7 +341,7 @@ func (r *Runner) runBatchStage0(tbl BatchTable, path accessPath, planFn func() *
 		}
 		ex := &batchExec{plan: planFn()}
 		cont := true
-		err = tbl.ScanBatch(0, 1, proj, r.batchSize, func(b *storage.ColBatch) (bool, error) {
+		err = tbl.ScanBatch(0, 1, proj, batchSize, func(b *storage.ColBatch) (bool, error) {
 			c, err := ex.run(b, next, emit)
 			cont = c
 			return c, err
@@ -383,12 +383,8 @@ func (r *Runner) batchRefine(tbl BatchTable, path accessPath, ex *batchExec,
 	proj := Projection{Need: path.need, MBRCol: -1, Ephemeral: path.ephemeral}
 	b := storage.GetColBatch()
 	defer storage.PutColBatch(b)
-	size := r.batchSize
-	if size <= 0 {
-		size = defaultBatchSize
-	}
-	for lo := 0; lo < len(cands); lo += size {
-		hi := lo + size
+	for lo := 0; lo < len(cands); lo += batchSize {
+		hi := lo + batchSize
 		if hi > len(cands) {
 			hi = len(cands)
 		}
@@ -422,7 +418,7 @@ func (r *Runner) makeBatchShardRunner(tbl BatchTable, path accessPath, planFn fu
 				return nil
 			}
 			ex := &batchExec{plan: plan}
-			return tbl.ScanBatch(shard, workers, proj, r.batchSize, func(b *storage.ColBatch) (bool, error) {
+			return tbl.ScanBatch(shard, workers, proj, batchSize, func(b *storage.ColBatch) (bool, error) {
 				return ex.run(b, next, emit)
 			})
 		}, nil

@@ -31,19 +31,19 @@ type Result struct {
 	Access []string
 }
 
-// defaultBatchSize is the number of row slots per column batch. Large
-// enough to amortize per-batch overhead, small enough that a batch's
-// arena and row backing stay cache-resident.
-const defaultBatchSize = 256
+// batchSize is the number of row slots per column batch. Large enough
+// to amortize per-batch overhead, small enough that a batch's arena and
+// row backing stay cache-resident.
+const batchSize = 256
 
-// Runner binds a catalog and function registry into a statement executor.
+// Runner binds a catalog and function registry into a statement
+// executor. Its configuration is fixed at NewRunner.
 type Runner struct {
-	cat       Catalog
-	reg       *Registry
-	par       int  // worker pool size for parallel-eligible queries (>= 1)
-	prep      bool // prepare constant sides of topological predicates
-	batch     bool // batch-at-a-time stage-0 execution
-	batchSize int  // row slots per column batch
+	cat   Catalog
+	reg   *Registry
+	par   int  // worker pool size for parallel-eligible queries (>= 1)
+	prep  bool // prepare constant sides of topological predicates
+	batch bool // batch-at-a-time stage-0 execution
 
 	// Batch activity counters (equivalence tests assert the intended
 	// path actually ran): batches processed and rows entering the batch
@@ -51,7 +51,7 @@ type Runner struct {
 	batchBatches atomic.Int64
 	batchRows    atomic.Int64
 
-	// Spatial-join strategy knob and activity counters.
+	// Spatial-join strategy and activity counters.
 	joinStrategy JoinStrategy
 	joinINL      atomic.Int64
 	joinPBSM     atomic.Int64
@@ -85,46 +85,19 @@ func (r *Runner) putRow(b []storage.Value) {
 }
 
 // NewRunner creates an executor over the catalog using the registry's
-// function semantics. Parallelism defaults to GOMAXPROCS; topological
-// constant-side preparation and batch execution are on.
-func NewRunner(cat Catalog, reg *Registry) *Runner {
-	r := &Runner{cat: cat, reg: reg, prep: true, batch: true, batchSize: defaultBatchSize}
-	r.SetParallelism(0)
-	return r
-}
-
-// SetTopoPrep toggles prepared-geometry evaluation of topological
-// predicates (the constant query window in filters, the outer row of
-// index-nested-loop spatial joins). On by default; the off position
-// exists for equivalence testing and measurement. Not safe to call
-// concurrently with running queries.
-func (r *Runner) SetTopoPrep(enabled bool) { r.prep = enabled }
-
-// TopoPrep reports whether prepared-geometry evaluation is enabled.
-func (r *Runner) TopoPrep() bool { return r.prep }
-
-// SetBatchExec toggles batch-at-a-time stage-0 execution. On by
-// default; the off position exists for equivalence testing and
-// measurement (plans that batching does not cover — kNN, index seeks,
-// bare LIMIT — fall back to the row path regardless). Not safe to call
-// concurrently with running queries.
-func (r *Runner) SetBatchExec(enabled bool) { r.batch = enabled }
-
-// BatchExec reports whether batch execution is enabled.
-func (r *Runner) BatchExec() bool { return r.batch }
-
-// SetBatchSize sets the number of row slots per column batch. n <= 0
-// resets to the default. Not safe to call concurrently with running
-// queries.
-func (r *Runner) SetBatchSize(n int) {
-	if n <= 0 {
-		n = defaultBatchSize
+// function semantics. par sizes the worker pool of parallel-eligible
+// plans (<= 0 means GOMAXPROCS, 1 forces serial execution); prep
+// enables prepared-geometry evaluation of topological predicates (the
+// constant query window in filters, the outer row of index-nested-loop
+// spatial joins); batch enables batch-at-a-time stage-0 execution
+// (plans batching does not cover — kNN, index seeks, bare LIMIT — use
+// the row path regardless); strat selects the spatial-join strategy.
+func NewRunner(cat Catalog, reg *Registry, par int, prep, batch bool, strat JoinStrategy) *Runner {
+	if par <= 0 {
+		par = runtime.GOMAXPROCS(0)
 	}
-	r.batchSize = n
+	return &Runner{cat: cat, reg: reg, par: par, prep: prep, batch: batch, joinStrategy: strat}
 }
-
-// BatchSize reports the configured batch size.
-func (r *Runner) BatchSize() int { return r.batchSize }
 
 // BatchStats returns the cumulative batch activity: batches processed
 // and rows that entered the batch filter cascade. Zero while batch
@@ -133,27 +106,8 @@ func (r *Runner) BatchStats() (batches, rows int64) {
 	return r.batchBatches.Load(), r.batchRows.Load()
 }
 
-// ResetBatchStats zeroes the batch activity counters.
-func (r *Runner) ResetBatchStats() {
-	r.batchBatches.Store(0)
-	r.batchRows.Store(0)
-}
-
 // Registry returns the function registry (engine feature inspection).
 func (r *Runner) Registry() *Registry { return r.reg }
-
-// SetParallelism sets the worker pool size used by parallel-eligible
-// query plans. n <= 0 resets to runtime.GOMAXPROCS(0); 1 forces serial
-// execution. Not safe to call concurrently with running queries.
-func (r *Runner) SetParallelism(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	r.par = n
-}
-
-// Parallelism reports the configured worker pool size.
-func (r *Runner) Parallelism() int { return r.par }
 
 // Run parses and executes one SQL statement.
 func (r *Runner) Run(query string) (*Result, error) {

@@ -44,12 +44,6 @@ func (r *Registry) PreparedCounters() (hits, misses int64) {
 	return r.prepHits.Load(), r.prepMisses.Load()
 }
 
-// ResetPreparedCounters zeroes the prepared-path counters.
-func (r *Registry) ResetPreparedCounters() {
-	r.prepHits.Store(0)
-	r.prepMisses.Store(0)
-}
-
 // Has reports whether the named function exists.
 func (r *Registry) Has(name string) bool {
 	_, ok := r.funcs[name]

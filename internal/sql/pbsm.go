@@ -73,12 +73,6 @@ type JoinStats struct {
 	CacheHits  int64 // sweep states served from the version-checked cache
 }
 
-// SetJoinStrategy sets the spatial-join strategy knob.
-func (r *Runner) SetJoinStrategy(s JoinStrategy) { r.joinStrategy = s }
-
-// JoinStrategy returns the spatial-join strategy knob.
-func (r *Runner) JoinStrategy() JoinStrategy { return r.joinStrategy }
-
 // JoinStats returns the spatial-join activity counters.
 func (r *Runner) JoinStats() JoinStats {
 	return JoinStats{
@@ -88,15 +82,6 @@ func (r *Runner) JoinStats() JoinStats {
 		DedupDrops: r.pbsmDedup.Load(),
 		CacheHits:  r.pbsmHits.Load(),
 	}
-}
-
-// ResetJoinStats zeroes the spatial-join counters.
-func (r *Runner) ResetJoinStats() {
-	r.joinINL.Store(0)
-	r.joinPBSM.Store(0)
-	r.pbsmCells.Store(0)
-	r.pbsmDedup.Store(0)
-	r.pbsmHits.Store(0)
 }
 
 // pbsmMinOuterRows is the auto-strategy floor: below this many

@@ -3,7 +3,6 @@ package storage
 import (
 	"container/list"
 	"sync"
-	"time"
 
 	"jackpine/internal/geom"
 )
@@ -66,13 +65,6 @@ type geomShard struct {
 // A nil *GeomCache is valid and disables caching: Get always misses
 // (uncounted), Put and the invalidation methods are no-ops.
 type GeomCache struct {
-	// MissPenalty, when non-zero, adds a simulated decode delay to every
-	// counted miss (mirroring BufferPool.MissPenalty for pages). Batched
-	// lookups charge it once per distinct missing geometry, not once per
-	// batch slot: slots repeating a record share one decode. Set before
-	// the cache is shared; not synchronized.
-	MissPenalty time.Duration
-
 	shards [geomCacheShards]geomShard
 }
 
@@ -120,9 +112,6 @@ func (c *GeomCache) Get(table string, rid RecordID, col int) (geom.Geometry, boo
 	if !ok {
 		s.stats.Misses++
 		s.mu.Unlock()
-		if c.MissPenalty > 0 {
-			time.Sleep(c.MissPenalty)
-		}
 		return nil, false
 	}
 	s.lru.MoveToFront(el)
@@ -136,8 +125,8 @@ func (c *GeomCache) Get(table string, rid RecordID, col int) (geom.Geometry, boo
 // records, filling out[i] with the cached geometry of rids[i] (nil on
 // miss) and returning the hit count. Stats accounting is per distinct
 // geometry, not per batch slot: a record id repeated within the call
-// counts one miss (and pays MissPenalty once), because the caller
-// decodes it once and reuses the result for every slot.
+// counts one miss, because the caller decodes it once and reuses the
+// result for every slot.
 func (c *GeomCache) GetBatch(table string, rids []RecordID, col int, out []geom.Geometry) int {
 	if c == nil {
 		for i := range out {
@@ -170,9 +159,6 @@ func (c *GeomCache) GetBatch(table string, rids []RecordID, col int, out []geom.
 		missed[rid] = struct{}{}
 		s.stats.Misses++
 		s.mu.Unlock()
-		if c.MissPenalty > 0 {
-			time.Sleep(c.MissPenalty)
-		}
 	}
 	return hits
 }
@@ -284,19 +270,6 @@ func (c *GeomCache) Stats() GeomCacheStats {
 		s.mu.Unlock()
 	}
 	return out
-}
-
-// ResetStats zeroes the activity counters (cache contents are kept).
-func (c *GeomCache) ResetStats() {
-	if c == nil {
-		return
-	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.stats = GeomCacheStats{}
-		s.mu.Unlock()
-	}
 }
 
 // Len returns the number of cached geometries.

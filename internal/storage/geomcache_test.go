@@ -3,7 +3,6 @@ package storage
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"jackpine/internal/geom"
 )
@@ -42,10 +41,6 @@ func TestGeomCacheHitMissInvalidate(t *testing.T) {
 	}
 	if got := st.HitRatio(); got != 0.2 {
 		t.Fatalf("HitRatio = %v", got)
-	}
-	c.ResetStats()
-	if st := c.Stats(); st != (GeomCacheStats{}) {
-		t.Fatalf("stats after reset = %+v", st)
 	}
 }
 
@@ -106,7 +101,6 @@ func TestGeomCacheNilIsDisabled(t *testing.T) {
 	}
 	c.Invalidate("t", RecordID{}, 0)
 	c.InvalidateTable("t")
-	c.ResetStats()
 	if st := c.Stats(); st != (GeomCacheStats{}) {
 		t.Fatalf("nil stats = %+v", st)
 	}
@@ -157,7 +151,6 @@ func TestGeomCacheGetBatchDistinctMisses(t *testing.T) {
 	missA := RecordID{Page: 2, Slot: 0}
 	missB := RecordID{Page: 3, Slot: 0}
 	c.Put("t", cached, 0, g, 21)
-	c.ResetStats()
 
 	rids := []RecordID{cached, missA, missA, cached, missB, missA}
 	out := make([]geom.Geometry, len(rids))
@@ -194,28 +187,5 @@ func TestGeomCacheGetBatchDistinctMisses(t *testing.T) {
 	out[0] = g
 	if hits := nilCache.GetBatch("t", rids[:1], 0, out[:1]); hits != 0 || out[0] != nil {
 		t.Fatalf("nil cache GetBatch: hits=%d out=%v", hits, out[0])
-	}
-}
-
-// TestGeomCacheGetBatchMissPenalty checks that MissPenalty is charged
-// once per distinct missing geometry in a batched lookup.
-func TestGeomCacheGetBatchMissPenalty(t *testing.T) {
-	c := NewGeomCache(1 << 20)
-	c.MissPenalty = 2 * time.Millisecond
-	rid := RecordID{Page: 9, Slot: 0}
-	out := make([]geom.Geometry, 8)
-	rids := make([]RecordID, 8)
-	for i := range rids {
-		rids[i] = rid
-	}
-	start := time.Now()
-	c.GetBatch("t", rids, 0, out)
-	elapsed := time.Since(start)
-	if elapsed >= 8*c.MissPenalty {
-		t.Fatalf("batched lookup of one distinct record slept %v (>= %v): penalty charged per slot",
-			elapsed, 8*c.MissPenalty)
-	}
-	if st := c.Stats(); st.Misses != 1 {
-		t.Fatalf("Misses = %d, want 1", st.Misses)
 	}
 }

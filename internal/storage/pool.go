@@ -123,16 +123,6 @@ func (bp *BufferPool) Stats() PoolStats {
 	return out
 }
 
-// ResetStats zeroes the activity counters.
-func (bp *BufferPool) ResetStats() {
-	for i := range bp.shards {
-		s := &bp.shards[i]
-		s.mu.Lock()
-		s.stats = PoolStats{}
-		s.mu.Unlock()
-	}
-}
-
 // Allocate creates a new page in the store and returns its id.
 func (bp *BufferPool) Allocate() (uint32, error) {
 	return bp.store.Allocate()
@@ -157,18 +147,17 @@ func (bp *BufferPool) Pin(id uint32) ([]byte, error) {
 		s.mu.Unlock()
 		return nil, err
 	}
-	penalty := bp.MissPenalty
-	s.mu.Unlock()
-
-	// Read outside the lock; the frame is already pinned so it cannot be
-	// evicted concurrently.
+	// Read under the lock: the frame is already in the page table, so a
+	// concurrent Pin of the same page would otherwise see it before it
+	// is filled.
 	if err := bp.store.ReadPage(id, f.buf); err != nil {
-		s.mu.Lock()
 		delete(s.table, id)
 		s.lru.Remove(f.elem)
 		s.mu.Unlock()
 		return nil, err
 	}
+	penalty := bp.MissPenalty
+	s.mu.Unlock()
 	if penalty > 0 {
 		time.Sleep(penalty)
 	}

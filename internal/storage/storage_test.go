@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"jackpine/internal/geom"
 )
@@ -334,7 +335,7 @@ func TestBufferPoolDropAll(t *testing.T) {
 	if pool.CachedPages() != 0 {
 		t.Error("cache not empty after DropAll")
 	}
-	pool.ResetStats()
+	before := pool.Stats()
 	buf, err := pool.Pin(id)
 	if err != nil {
 		t.Fatal(err)
@@ -343,8 +344,61 @@ func TestBufferPoolDropAll(t *testing.T) {
 	if buf[17] != 0x42 {
 		t.Error("dirty page lost by DropAll")
 	}
-	if pool.Stats().Misses != 1 || pool.Stats().Hits != 0 {
+	if after := pool.Stats(); after.Misses-before.Misses != 1 || after.Hits != before.Hits {
 		t.Error("re-read after DropAll should be a miss")
+	}
+}
+
+// slowStore delays every page read, widening the window in which a
+// miss has registered its frame but not yet filled it.
+type slowStore struct {
+	PageStore
+	delay time.Duration
+}
+
+func (s slowStore) ReadPage(id uint32, buf []byte) error {
+	time.Sleep(s.delay)
+	return s.PageStore.ReadPage(id, buf)
+}
+
+// TestBufferPoolPinDuringMissSeesFilledPage: a Pin of a page whose
+// miss is still reading it must wait for the read, not return the
+// frame's unfilled buffer.
+func TestBufferPoolPinDuringMissSeesFilledPage(t *testing.T) {
+	mem := NewMemStore()
+	id, err := mem.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := make([]byte, PageSize)
+	for i := range page {
+		page[i] = byte(i*7 + 1)
+	}
+	if err := mem.WritePage(id, page); err != nil {
+		t.Fatal(err)
+	}
+	pool := NewBufferPool(slowStore{mem, 2 * time.Millisecond}, 64)
+
+	first := make(chan error, 1)
+	go func() {
+		_, err := pool.Pin(id)
+		if err == nil {
+			pool.Unpin(id, false)
+		}
+		first <- err
+	}()
+	time.Sleep(500 * time.Microsecond)
+	buf, err := pool.Pin(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	filled := bytes.Equal(buf, page)
+	pool.Unpin(id, false)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	if !filled {
+		t.Fatal("second Pin returned the frame before the first Pin's read filled it")
 	}
 }
 

@@ -121,48 +121,8 @@ func OpenDurable(p Profile, dir string, opts ...engine.Option) (*Engine, error) 
 type WALStats = wal.Stats
 
 // WithParallelism sets the engine's intra-query worker pool size
-// (0 = GOMAXPROCS, 1 = serial). See also Engine.SetParallelism.
+// (0 = GOMAXPROCS, 1 = serial).
 func WithParallelism(n int) engine.Option { return engine.WithParallelism(n) }
-
-// WithGeomCache budgets the decoded-geometry cache in bytes (<= 0
-// disables it; default 16 MiB).
-func WithGeomCache(bytes int) engine.Option { return engine.WithGeomCache(bytes) }
-
-// WithTopoPrep toggles prepared-geometry evaluation of topological
-// predicates: the constant side (literal query window, outer join row)
-// is decomposed and indexed once per statement execution instead of
-// per row. Enabled by default.
-func WithTopoPrep(enabled bool) engine.Option { return engine.WithTopoPrep(enabled) }
-
-// WithPlanCache bounds the prepared-statement (plan) cache in entries
-// (<= 0 disables it; default 256). See also Engine.Prepare.
-func WithPlanCache(entries int) engine.Option { return engine.WithPlanCache(entries) }
-
-// WithBatchExec toggles batch-at-a-time (vectorized) query execution:
-// eligible scans process column batches through flat MBR prefilter
-// kernels and batched predicate refinement. Enabled by default.
-func WithBatchExec(enabled bool) engine.Option { return engine.WithBatchExec(enabled) }
-
-// WithBatchSize overrides the number of row slots per column batch
-// (<= 0 means the default, 256).
-func WithBatchSize(n int) engine.Option { return engine.WithBatchSize(n) }
-
-// JoinStrategy selects how two-table spatial joins execute: JoinAuto
-// (cost-based), JoinINL (per-outer-row index probes), or JoinPBSM
-// (partition-based spatial-merge: grid partitioning + plane sweep).
-type JoinStrategy = sql.JoinStrategy
-
-// Spatial-join strategies (see JoinStrategy).
-const (
-	JoinAuto = sql.JoinAuto
-	JoinINL  = sql.JoinINL
-	JoinPBSM = sql.JoinPBSM
-)
-
-// WithJoinStrategy forces the spatial-join strategy. The default,
-// JoinAuto, costs index-nested-loop against the partitioned sweep from
-// table statistics per statement. See also Engine.SetJoinStrategy.
-func WithJoinStrategy(s JoinStrategy) engine.Option { return engine.WithJoinStrategy(s) }
 
 // JoinStats aliases the cumulative spatial-join counters reported by
 // Engine.JoinStats: joins per strategy, PBSM grid cells, and duplicate

@@ -1,8 +1,11 @@
 package jackpine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"jackpine/internal/engine"
 )
 
 // canonRows renders a result set into one comparable string: one line
@@ -24,6 +27,29 @@ func canonRows(rs *ResultSet) string {
 	return b.String()
 }
 
+// openLoaded opens a GaiaDB engine with the given configuration and
+// loads ds into it, indexed. The equivalence rails open one engine per
+// configuration, since an engine's configuration is fixed at Open.
+func openLoaded(t *testing.T, ds *Dataset, opts ...engine.Option) *Engine {
+	t.Helper()
+	eng := OpenEngine(GaiaDB(), opts...)
+	if err := LoadDataset(eng, ds, true); err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// connect opens an in-process session on eng, closed when the test ends.
+func connect(t *testing.T, eng *Engine) Conn {
+	t.Helper()
+	conn, err := Connect(eng).Connect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return conn
+}
+
 // TestParallelEquivalence runs the entire micro suite (MT1–MT15,
 // MA1–MA12) at parallelism 1, 2, and 8 and requires byte-identical
 // results from every query: same columns, same rows, same order, same
@@ -31,20 +57,9 @@ func canonRows(rs *ResultSet) string {
 // cannot perturb low-order bits).
 func TestParallelEquivalence(t *testing.T) {
 	ds := GenerateDataset(ScaleSmall, 1)
-	eng := OpenEngine(GaiaDB(), WithParallelism(1))
-	if err := LoadDataset(eng, ds, true); err != nil {
-		t.Fatal(err)
-	}
 	ctx := NewQueryContext(ds)
-	conn, err := Connect(eng).Connect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	if eng.Parallelism() != 1 {
-		t.Fatalf("WithParallelism(1): engine reports %d", eng.Parallelism())
-	}
+	serial := openLoaded(t, ds, WithParallelism(1))
+	conn := connect(t, serial)
 
 	baseline := make(map[string]string)
 	for _, q := range MicroSuite() {
@@ -55,8 +70,10 @@ func TestParallelEquivalence(t *testing.T) {
 		baseline[q.ID] = canonRows(rs)
 	}
 
+	const ma2 = "SELECT SUM(ST_Length(geo)) FROM edges"
 	for _, par := range []int{2, 8} {
-		eng.SetParallelism(par)
+		eng := openLoaded(t, ds, WithParallelism(par))
+		conn := connect(t, eng)
 		for _, q := range MicroSuite() {
 			rs, err := conn.Query(q.SQL(ctx, 0))
 			if err != nil {
@@ -67,16 +84,24 @@ func TestParallelEquivalence(t *testing.T) {
 					q.ID, par, baseline[q.ID], got)
 			}
 		}
+		// The sweep must actually exercise the parallel path: the
+		// scan-heavy MA2 plan reports a parallel access.
+		res, err := eng.Exec(ma2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("parallel seqscan (%d workers)", par)
+		if len(res.Access) == 0 || !strings.Contains(res.Access[0], want) {
+			t.Errorf("MA2 at parallelism %d: access = %v, want %s", par, res.Access, want)
+		}
 	}
 
-	// The sweep above must actually exercise the parallel path: at
-	// parallelism 8 the scan-heavy MA2 plan reports a parallel access.
-	eng.SetParallelism(8)
-	res, err := eng.Exec("SELECT SUM(ST_Length(geo)) FROM edges")
+	// And the baseline must be serial.
+	res, err := serial.Exec(ma2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Access) == 0 || !strings.Contains(res.Access[0], "parallel seqscan (8 workers)") {
-		t.Errorf("MA2 at parallelism 8: access = %v, want parallel seqscan", res.Access)
+	if len(res.Access) == 0 || strings.Contains(res.Access[0], "parallel") {
+		t.Errorf("MA2 at parallelism 1: access = %v, want a serial plan", res.Access)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"jackpine/internal/driver"
+	"jackpine/internal/engine"
 	"jackpine/internal/wire"
 )
 
@@ -37,45 +38,26 @@ func (r recordingConn) Query(q string) (*ResultSet, error) {
 func (r recordingConn) Close() error { return nil }
 
 // TestTopoPrepEquivalence runs the entire micro suite (MT1–MT15,
-// MA1–MA12) and all six macro scenarios on two engines — prepared
-// topology kernel disabled versus enabled — over both the in-process
+// MA1–MA12) and all six macro scenarios on engines with the prepared
+// topology kernel disabled versus enabled, over both the in-process
 // and the wire transport, and requires byte-identical results from
 // every query: same rows, same order, same float rendering. The
 // prepared path swaps only the kernel entry point, so any divergence
 // means a prepared evaluation changed semantics.
 func TestTopoPrepEquivalence(t *testing.T) {
 	ds := GenerateDataset(ScaleSmall, 1)
-
-	off := OpenEngine(GaiaDB(), WithTopoPrep(false))
-	on := OpenEngine(GaiaDB())
-	for _, eng := range []*Engine{off, on} {
-		if err := LoadDataset(eng, ds, true); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if off.TopoPrep() {
-		t.Fatal("WithTopoPrep(false) did not disable preparation")
-	}
-	if !on.TopoPrep() {
-		t.Fatal("default engine has preparation disabled")
-	}
-
 	ctx := NewQueryContext(ds)
-	offConn, err := Connect(off).Connect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer offConn.Close()
-	onConn, err := Connect(on).Connect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer onConn.Close()
+	type pair struct{ off, on *Engine }
+	engines := map[int]pair{}
 
 	// Micro suite, in-process, serial and parallel.
 	for _, par := range []int{1, 8} {
-		off.SetParallelism(par)
-		on.SetParallelism(par)
+		p := pair{
+			off: openLoaded(t, ds, engine.WithTopoPrep(false), WithParallelism(par)),
+			on:  openLoaded(t, ds, WithParallelism(par)),
+		}
+		engines[par] = p
+		offConn, onConn := connect(t, p.off), connect(t, p.on)
 		for _, q := range MicroSuite() {
 			sql := q.SQL(ctx, 0)
 			rs, err := offConn.Query(sql)
@@ -93,8 +75,8 @@ func TestTopoPrepEquivalence(t *testing.T) {
 			}
 		}
 	}
-	off.SetParallelism(1)
-	on.SetParallelism(1)
+	off, on := engines[1].off, engines[1].on
+	offConn, onConn := connect(t, off), connect(t, on)
 
 	// Micro suite over the wire transport.
 	offSrv, onSrv := wire.NewServer(off), wire.NewServer(on)
@@ -159,14 +141,14 @@ func TestTopoPrepEquivalence(t *testing.T) {
 		}
 	}
 
-	// The sweep must have exercised the prepared path on the enabled
-	// engine and never on the disabled one.
-	onCC := on.CacheCounters()
-	if onCC.PrepHits == 0 {
-		t.Errorf("prepared engine saw no prepared evaluations (misses=%d)", onCC.PrepMisses)
-	}
-	offCC := off.CacheCounters()
-	if offCC.PrepHits != 0 {
-		t.Errorf("disabled engine recorded %d prepared evaluations", offCC.PrepHits)
+	// The sweep must have exercised the prepared path on every enabled
+	// engine and never on a disabled one.
+	for par, p := range engines {
+		if cc := p.on.CacheCounters(); cc.PrepHits == 0 {
+			t.Errorf("prepared engine at parallelism %d saw no prepared evaluations (misses=%d)", par, cc.PrepMisses)
+		}
+		if cc := p.off.CacheCounters(); cc.PrepHits != 0 {
+			t.Errorf("disabled engine at parallelism %d recorded %d prepared evaluations", par, cc.PrepHits)
+		}
 	}
 }

@@ -3,6 +3,9 @@ package jackpine
 import (
 	"strings"
 	"testing"
+
+	"jackpine/internal/engine"
+	"jackpine/internal/sql"
 )
 
 // ms7Queries are the three table-to-table join statements issued by the
@@ -18,23 +21,16 @@ var ms7Queries = []struct{ id, sql string }{
 // (the ST_* topological-relation joins of the micro suite) and the
 // three MS7 macro joins through forced index-nested-loop, forced
 // partition-based spatial-merge, and the cost-based default, at
-// parallelism 1 and 8, all on one engine. Every combination must
-// return byte-identical results to the serial INL baseline. Running
-// each statement repeatedly on the same engine also exercises the
-// version-keyed PBSM state cache: later PBSM executions reuse the
+// parallelism 1 and 8, one engine per combination. Every combination
+// must return byte-identical results to the serial INL baseline.
+// Running each statement twice on an engine also exercises the
+// version-keyed PBSM state cache: the second PBSM execution reuses the
 // cached grid rather than rebuilding it.
 func TestJoinStrategyEquivalence(t *testing.T) {
 	ds := GenerateDataset(ScaleSmall, 1)
-	eng := OpenEngine(GaiaDB(), WithParallelism(1), WithJoinStrategy(JoinINL))
-	if err := LoadDataset(eng, ds, true); err != nil {
-		t.Fatal(err)
-	}
 	ctx := NewQueryContext(ds)
-	conn, err := Connect(eng).Connect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	eng := openLoaded(t, ds, WithParallelism(1), engine.WithJoinStrategy(sql.JoinINL))
+	conn := connect(t, eng)
 
 	type joinQuery struct{ id, sql string }
 	var queries []joinQuery
@@ -72,25 +68,30 @@ func TestJoinStrategyEquivalence(t *testing.T) {
 		t.Fatalf("forced INL baseline ran INL=%d PBSM=%d joins, want all INL", st.INL, st.PBSM)
 	}
 
-	for _, strat := range []JoinStrategy{JoinPBSM, JoinAuto} {
-		eng.SetJoinStrategy(strat)
+	const passes = 2
+	for _, strat := range []sql.JoinStrategy{sql.JoinPBSM, sql.JoinAuto} {
 		for _, par := range []int{1, 8} {
-			eng.SetParallelism(par)
-			eng.ResetJoinStats()
-			for _, q := range queries {
-				rs, err := conn.Query(q.sql)
-				if err != nil {
-					t.Fatalf("%s strategy %v parallelism %d: %v", q.id, strat, par, err)
-				}
-				if got := canonRows(rs); got != baseline[q.id] {
-					t.Errorf("%s: strategy %v parallelism %d diverges from serial INL\nwant:\n%s\ngot:\n%s",
-						q.id, strat, par, baseline[q.id], got)
+			eng := openLoaded(t, ds, WithParallelism(par), engine.WithJoinStrategy(strat))
+			conn := connect(t, eng)
+			for pass := 0; pass < passes; pass++ {
+				for _, q := range queries {
+					rs, err := conn.Query(q.sql)
+					if err != nil {
+						t.Fatalf("%s strategy %v parallelism %d pass %d: %v", q.id, strat, par, pass, err)
+					}
+					if got := canonRows(rs); got != baseline[q.id] {
+						t.Errorf("%s: strategy %v parallelism %d pass %d diverges from serial INL\nwant:\n%s\ngot:\n%s",
+							q.id, strat, par, pass, baseline[q.id], got)
+					}
 				}
 			}
-			if st := eng.JoinStats(); strat == JoinPBSM &&
-				(st.PBSM < int64(len(queries)-relates) || st.INL > int64(relates)) {
-				t.Errorf("forced PBSM at parallelism %d ran INL=%d PBSM=%d joins, want %d PBSM (+%d ST_Relate INL)",
-					par, st.INL, st.PBSM, len(queries)-relates, relates)
+			if strat != sql.JoinPBSM {
+				continue
+			}
+			pbsm, inl := int64(passes*(len(queries)-relates)), int64(passes*relates)
+			if st := eng.JoinStats(); st.PBSM < pbsm || st.INL > inl || st.CacheHits == 0 {
+				t.Errorf("forced PBSM at parallelism %d ran INL=%d PBSM=%d joins with %d cached grids, want %d PBSM (+%d ST_Relate INL) and cache reuse",
+					par, st.INL, st.PBSM, st.CacheHits, pbsm, inl)
 			}
 		}
 	}
