@@ -465,21 +465,18 @@ func TestWriteParallelBench(t *testing.T) {
 	t.Logf("wrote BENCH_parallel.json (%d bytes)", len(buf))
 }
 
-// decodeBenchConfigs are the E14 cache configurations: no decode-layer
-// caches, plan cache only, geometry cache only, both.
+// decodeBenchConfigs are the E14 configurations: plan cache off, on.
 var decodeBenchConfigs = []struct {
 	Name string
 	Opts []engine.Option
 }{
-	{"none", []engine.Option{engine.WithGeomCache(0), engine.WithPlanCache(0)}},
-	{"plan", []engine.Option{engine.WithGeomCache(0)}},
-	{"geom", []engine.Option{engine.WithPlanCache(0)}},
-	{"plan+geom", nil},
+	{"none", []engine.Option{engine.WithPlanCache(0)}},
+	{"plan", nil},
 }
 
 // decodeBenchQueries builds the E14 workload: short selective window
 // queries whose warm-repeat cost is dominated by per-execution parse
-// and WKB-decode work rather than by predicate refinement.
+// work rather than by predicate refinement.
 func decodeBenchQueries(ctx *QueryContext) []string {
 	queries := make([]string, 0, 24)
 	for i := 0; i < 8; i++ {
@@ -493,10 +490,10 @@ func decodeBenchQueries(ctx *QueryContext) []string {
 }
 
 // BenchmarkE14DecodeCache regenerates figure E14: the warm-repeat cost
-// of a window-query workload under each cache configuration. One
-// iteration runs the whole workload once; the caches are pre-warmed, so
-// the per-iteration delta between configurations is the parse and
-// WKB-decode work the caches eliminate.
+// of a window-query workload with the plan cache off and on. One
+// iteration runs the whole workload once; the cache is pre-warmed, so
+// the per-iteration delta between configurations is the parse work the
+// plan cache eliminates.
 func BenchmarkE14DecodeCache(b *testing.B) {
 	ds := benchDataset(b, ScaleSmall)
 	ctx := NewQueryContext(ds)
@@ -512,7 +509,7 @@ func BenchmarkE14DecodeCache(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer conn.Close()
-			// Warm pass populates whichever caches are enabled.
+			// Warm pass populates the plan cache when it is enabled.
 			for _, q := range queries {
 				if _, err := conn.Query(q); err != nil {
 					b.Fatal(err)
@@ -548,7 +545,6 @@ func TestWriteDecodeBench(t *testing.T) {
 		ColdUS      int64   `json:"cold_us"`
 		WarmUS      int64   `json:"warm_us"`
 		WarmSpeedup float64 `json:"warm_speedup_vs_none"`
-		GeomHit     float64 `json:"geom_hit_ratio"`
 		PlanHit     float64 `json:"plan_hit_ratio"`
 	}
 	out := struct {
@@ -562,16 +558,16 @@ func TestWriteDecodeBench(t *testing.T) {
 		Note       string      `json:"note"`
 		Configs    []configOut `json:"configs"`
 	}{
-		Experiment: "E14 decode elimination: geometry and plan caches (GaiaDB)",
+		Experiment: "E14 plan cache ablation (GaiaDB)",
 		Date:       time.Now().UTC().Format("2006-01-02"),
 		CPUs:       runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Scale:      ScaleSmall.String(),
 		Queries:    len(queries),
 		Runs:       31,
-		Note: "cold_us is the first pass against empty caches; warm_us is the " +
-			"mean of the following passes served from them. warm_speedup_vs_none " +
-			"is warm(none)/warm(config). Hit ratios cover all measured passes; " +
+		Note: "cold_us is the first pass against an empty plan cache; warm_us is " +
+			"the mean of the following passes served from it. warm_speedup_vs_none " +
+			"is warm(none)/warm(config). The hit ratio covers all measured passes; " +
 			"-1 means the cache is disabled.",
 	}
 	const runs = 31
@@ -613,7 +609,6 @@ func TestWriteDecodeBench(t *testing.T) {
 		}
 		co := configOut{
 			Caches: c.Name, ColdUS: cold.Microseconds(), WarmUS: warm.Microseconds(),
-			GeomHit: ratio(cc.GeomHits-before.GeomHits, cc.GeomMisses-before.GeomMisses),
 			PlanHit: ratio(cc.PlanHits-before.PlanHits, cc.PlanMisses-before.PlanMisses),
 		}
 		if c.Name == "none" {

@@ -124,13 +124,13 @@ func WriteMacroCSV(w io.Writer, results []MacroResult) {
 
 // countersCSVHeader names the trailing columns both CSV reports render
 // through Counters.csv.
-const countersCSVHeader = "pool_hit,geom_cache_hit,plan_cache_hit,prep_hit,allocs,bytes,shards,shard_prune,shard_fastpath,hedge_fired,hedge_won,wal_fsync,dirty_pages,join_strategy,pbsm_cells,dedup_drops,join_pushdown"
+const countersCSVHeader = "pool_hit,plan_cache_hit,prep_hit,allocs,bytes,shards,shard_prune,shard_fastpath,hedge_fired,hedge_won,wal_fsync,dirty_pages,join_strategy,pbsm_cells,dedup_drops,join_pushdown"
 
 // csv renders the counters as the trailing CSV columns: unknown values
 // blank, cluster counters blank for single-engine runs.
 func (c Counters) csv() string {
 	return strings.Join([]string{
-		fmtRatio(c.PoolHitRatio), fmtRatio(c.GeomCacheHitRatio), fmtRatio(c.PlanCacheHitRatio),
+		fmtRatio(c.PoolHitRatio), fmtRatio(c.PlanCacheHitRatio),
 		fmtRatio(c.TopoPrepHitRatio), fmtCount(c.AllocsPerOp), fmtCount(c.BytesPerOp),
 		fmtShards(c.Shards), fmtRatio(c.ShardPruneRate),
 		fmtShardCount(c.Shards, c.ShardFastPath), fmtShardCount(c.Shards, c.ShardHedgeFired),

@@ -12,7 +12,7 @@ import (
 // with every counter known, one with every counter unknown.
 func TestCSVBytesPinned(t *testing.T) {
 	known := Counters{
-		PoolHitRatio: 0.5, GeomCacheHitRatio: 0.25, PlanCacheHitRatio: 1, TopoPrepHitRatio: 0.125,
+		PoolHitRatio: 0.5, PlanCacheHitRatio: 1, TopoPrepHitRatio: 0.125,
 		AllocsPerOp: 123.4, BytesPerOp: 5678.9, Shards: 2, ShardPruneRate: 0.75,
 		ShardFastPath: 3, ShardHedgeFired: 4, ShardHedgeWon: 1, WALFsyncs: 6, DirtyPages: 7,
 		JoinStrategy: "pbsm", PBSMCells: 64, DedupDrops: 9, JoinPushdown: 2,
@@ -39,12 +39,12 @@ func TestCSVBytesPinned(t *testing.T) {
 		{ID: "MS5", Name: "land use", Engine: "commercedb", Clients: 1, Err: errors.New("x, y"),
 			Counters: macroUnknown},
 	}
-	const want = `id,name,category,engine,runs,parallelism,mean_us,p50_us,p95_us,p99_us,min_us,max_us,rows,unsupported,error,pool_hit,geom_cache_hit,plan_cache_hit,prep_hit,allocs,bytes,shards,shard_prune,shard_fastpath,hedge_fired,hedge_won,wal_fsync,dirty_pages,join_strategy,pbsm_cells,dedup_drops,join_pushdown
-MT1,"polygon, intersects",topo,gaiadb,5,2,1500,1400,2000,3000,1000,4000,42,false,,0.500,0.250,1.000,0.125,123,5679,2,0.750,3,4,1,6,7,pbsm,64,9,2
-MA5,plain,analysis,myspatial,1,0,0,0,0,0,0,0,0,true,bad; worse,,,,,,,,,,,,,,,,,
-id,name,engine,clients,parallelism,ops,elapsed_ms,ops_per_sec,mean_latency_us,p50_latency_us,p95_latency_us,p99_latency_us,rows_per_op,unsupported,error,pool_hit,geom_cache_hit,plan_cache_hit,prep_hit,allocs,bytes,shards,shard_prune,shard_fastpath,hedge_fired,hedge_won,wal_fsync,dirty_pages,join_strategy,pbsm_cells,dedup_drops,join_pushdown
-MS1,"map ""search"", browse",gaiadb,2,1,10,2500,4.250,250000,200000,300000,400000,12.2,false,,0.500,0.250,1.000,0.125,123,5679,2,0.750,3,4,1,6,7,mixed,64,9,2
-MS5,land use,commercedb,1,0,0,0,0.000,0,0,0,0,0.0,false,x; y,,,,,,,,,,,,,,,,,
+	const want = `id,name,category,engine,runs,parallelism,mean_us,p50_us,p95_us,p99_us,min_us,max_us,rows,unsupported,error,pool_hit,plan_cache_hit,prep_hit,allocs,bytes,shards,shard_prune,shard_fastpath,hedge_fired,hedge_won,wal_fsync,dirty_pages,join_strategy,pbsm_cells,dedup_drops,join_pushdown
+MT1,"polygon, intersects",topo,gaiadb,5,2,1500,1400,2000,3000,1000,4000,42,false,,0.500,1.000,0.125,123,5679,2,0.750,3,4,1,6,7,pbsm,64,9,2
+MA5,plain,analysis,myspatial,1,0,0,0,0,0,0,0,0,true,bad; worse,,,,,,,,,,,,,,,,
+id,name,engine,clients,parallelism,ops,elapsed_ms,ops_per_sec,mean_latency_us,p50_latency_us,p95_latency_us,p99_latency_us,rows_per_op,unsupported,error,pool_hit,plan_cache_hit,prep_hit,allocs,bytes,shards,shard_prune,shard_fastpath,hedge_fired,hedge_won,wal_fsync,dirty_pages,join_strategy,pbsm_cells,dedup_drops,join_pushdown
+MS1,"map ""search"", browse",gaiadb,2,1,10,2500,4.250,250000,200000,300000,400000,12.2,false,,0.500,1.000,0.125,123,5679,2,0.750,3,4,1,6,7,mixed,64,9,2
+MS5,land use,commercedb,1,0,0,0,0.000,0,0,0,0,0.0,false,x; y,,,,,,,,,,,,,,,,
 `
 	var sb strings.Builder
 	WriteMicroCSV(&sb, micro)

@@ -102,11 +102,10 @@ type MacroResult struct {
 // the connection lacks, or a region in which no operation completed,
 // keeps the values of unknownCounters.
 type Counters struct {
-	// Cache hit ratios (buffer pool, decoded-geometry cache, plan
-	// cache). -1 means unknown: the connection does not expose counters
-	// (remote engines) or the cache saw no traffic.
+	// Cache hit ratios (buffer pool, plan cache). -1 means unknown: the
+	// connection does not expose counters (remote engines) or the cache
+	// saw no traffic.
 	PoolHitRatio      float64
-	GeomCacheHitRatio float64
 	PlanCacheHitRatio float64
 
 	// TopoPrepHitRatio is the fraction of exact topological predicate
@@ -159,7 +158,7 @@ type Counters struct {
 // measured over.
 func unknownCounters() Counters {
 	return Counters{
-		PoolHitRatio: -1, GeomCacheHitRatio: -1, PlanCacheHitRatio: -1,
+		PoolHitRatio: -1, PlanCacheHitRatio: -1,
 		TopoPrepHitRatio: -1,
 		AllocsPerOp:      -1, BytesPerOp: -1,
 		ShardPruneRate: -1,
@@ -233,7 +232,6 @@ func (s *counterSnapshot) delta(ops int) Counters {
 		c.BytesPerOp = float64(mem.TotalAlloc-s.mem.TotalAlloc) / float64(ops)
 		after, before := s.cc.CacheCounters(), s.cache
 		c.PoolHitRatio = cacheRatio(after.PoolHits-before.PoolHits, after.PoolMisses-before.PoolMisses)
-		c.GeomCacheHitRatio = cacheRatio(after.GeomHits-before.GeomHits, after.GeomMisses-before.GeomMisses)
 		c.PlanCacheHitRatio = cacheRatio(after.PlanHits-before.PlanHits, after.PlanMisses-before.PlanMisses)
 		c.TopoPrepHitRatio = cacheRatio(after.PrepHits-before.PrepHits, after.PrepMisses-before.PrepMisses)
 		if after.WALEnabled {

@@ -179,9 +179,9 @@ func (c *inProcConn) QueryContext(ctx context.Context, query string) (*ResultSet
 }
 
 // CacheCounters snapshots the engine's cache-layer hit/miss counters
-// (buffer pool, geometry cache, plan cache). The benchmark core detects
-// this method to report per-run hit ratios; remote connections simply
-// lack it.
+// (buffer pool, plan cache, prepared topology kernel). The benchmark
+// core detects this method to report per-run hit ratios; remote
+// connections simply lack it.
 func (c *inProcConn) CacheCounters() engine.CacheCounters {
 	return c.eng.CacheCounters()
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 
-	"jackpine/internal/geom"
 	"jackpine/internal/sql"
 	"jackpine/internal/storage"
 )
@@ -11,21 +10,17 @@ import (
 // Batch-at-a-time table access: the engine side of the vectorized
 // executor. ScanBatch and FetchBatch fill reusable column batches from
 // the heap, run the flat MBR prefilter kernel over the batch's SoA
-// envelope arrays, and materialize only the surviving slots — geometry
-// columns through the decoded-geometry cache exactly as the row path,
-// except that filter-only (ephemeral) geometries too large to cache
+// envelope arrays, and materialize only the surviving slots — exactly
+// as the row path, except that filter-only (ephemeral) geometries
 // decode into the batch's coordinate arena instead of the heap.
 
 // ScanBatch implements sql.BatchTable.
-func (t *table) ScanBatch(shard, nshards int, proj sql.Projection, size int,
+func (t *table) ScanBatch(shard, nshards int, proj sql.Projection,
 	fn func(*storage.ColBatch) (bool, error)) error {
 
-	if size <= 0 {
-		size = 256
-	}
 	b := storage.GetColBatch()
 	defer storage.PutColBatch(b)
-	b.Reset(len(t.cols), len(t.cols))
+	b.Reset(len(t.cols))
 
 	cont := true
 	var innerErr error
@@ -50,7 +45,7 @@ func (t *table) ScanBatch(shard, nshards int, proj sql.Projection, size int,
 			}
 			cont = c
 		}
-		b.Reset(len(t.cols), len(t.cols))
+		b.Reset(len(t.cols))
 		return cont
 	}
 	visit := func(rid storage.RecordID, tuple []byte) bool {
@@ -58,7 +53,7 @@ func (t *table) ScanBatch(shard, nshards int, proj sql.Projection, size int,
 			innerErr = fmt.Errorf("engine: table %s at %s: %w", t.name, rid, err)
 			return false
 		}
-		if b.Len() >= size {
+		if b.Len() >= sql.BatchSize {
 			return flush()
 		}
 		return true
@@ -80,7 +75,7 @@ func (t *table) ScanBatch(shard, nshards int, proj sql.Projection, size int,
 
 // FetchBatch implements sql.BatchTable.
 func (t *table) FetchBatch(ids []sql.RowID, proj sql.Projection, b *storage.ColBatch) error {
-	b.Reset(len(t.cols), len(t.cols))
+	b.Reset(len(t.cols))
 	for _, id := range ids {
 		rid := id.Unpack()
 		var err error
@@ -97,85 +92,30 @@ func (t *table) FetchBatch(ids []sql.RowID, proj sql.Projection, b *storage.ColB
 }
 
 // materializeBatch decodes the projected columns of the batch's
-// selected slots into its flat row backing, column-major. Geometry
-// columns follow exactly the row path's cache discipline — batched Get,
-// decode-and-Put on miss — so hit/miss counters match the row-at-a-time
-// scan; the one divergence is where a missed decode's memory comes
-// from: ephemeral columns (filter-only, per proj.Ephemeral) whose entry
-// would not fit the cache use the batch coordinate arena.
+// selected slots into its flat row backing, column-major. Ephemeral
+// (filter-only, per proj.Ephemeral) geometries decode into the batch
+// coordinate arena; every other value decodes exactly as the row path.
 func (t *table) materializeBatch(b *storage.ColBatch, proj sql.Projection) error {
 	b.ResetRows()
-	sel := b.Sel
-	if len(sel) == 0 {
-		return nil
-	}
-	var gslots []int
-	var rids []storage.RecordID
-	var geoms []geom.Geometry
 	for col := range t.cols {
 		if proj.Need != nil && !proj.Need[col] {
 			continue
 		}
 		eph := proj.Ephemeral != nil && proj.Ephemeral[col]
-		if t.cols[col].Type != storage.TypeGeom || t.gc == nil {
-			for _, s := range sel {
-				v, err := t.batchCol(b, s, col, eph)
-				if err != nil {
-					return err
-				}
-				b.Row(s)[col] = v
-			}
-			continue
-		}
-		// Cached geometry column: batched lookup over the slots that
-		// actually store a geometry (NULL slots never touch the cache,
-		// matching materializeRow).
-		gslots = gslots[:0]
-		rids = rids[:0]
-		for _, s := range sel {
-			if b.ColType(s, col) != storage.TypeGeom {
-				v, err := b.Col(s, col)
-				if err != nil {
-					return t.wrapBatchErr(b, s, err)
-				}
-				b.Row(s)[col] = v
-				continue
-			}
-			gslots = append(gslots, s)
-			rids = append(rids, sql.RowID(b.ID(s)).Unpack())
-		}
-		if cap(geoms) < len(gslots) {
-			geoms = make([]geom.Geometry, len(gslots))
-		}
-		geoms = geoms[:len(gslots)]
-		t.gc.GetBatch(t.name, rids, col, geoms)
-		for i, s := range gslots {
-			if g := geoms[i]; g != nil {
-				b.Row(s)[col] = storage.NewGeom(g)
-				continue
-			}
-			wkbLen := len(b.GeomWKB(s, col))
-			if eph && !t.gc.Cacheable(wkbLen) {
-				v, err := b.ColArena(s, col)
-				if err != nil {
-					return t.wrapBatchErr(b, s, err)
-				}
-				b.Row(s)[col] = v
-				continue
-			}
-			v, err := b.Col(s, col)
+		for _, s := range b.Sel {
+			v, err := t.batchCol(b, s, col, eph)
 			if err != nil {
-				return t.wrapBatchErr(b, s, err)
+				return err
 			}
-			t.gc.Put(t.name, rids[i], col, v.Geom, wkbLen)
 			b.Row(s)[col] = v
 		}
 	}
 	return nil
 }
 
-// batchCol decodes one uncached column of one slot, routing ephemeral
-// geometries through the batch arena.
+// batchCol decodes one column of one slot, routing ephemeral
+// geometries through the batch arena and adding the row path's
+// table/record context to a decode error.
 func (t *table) batchCol(b *storage.ColBatch, slot, col int, eph bool) (storage.Value, error) {
 	var v storage.Value
 	var err error
@@ -185,13 +125,7 @@ func (t *table) batchCol(b *storage.ColBatch, slot, col int, eph bool) (storage.
 		v, err = b.Col(slot, col)
 	}
 	if err != nil {
-		return storage.Null(), t.wrapBatchErr(b, slot, err)
+		return storage.Null(), fmt.Errorf("engine: table %s at %s: %w", t.name, sql.RowID(b.ID(slot)).Unpack(), err)
 	}
 	return v, nil
-}
-
-// wrapBatchErr adds the row path's table/record context to a decode
-// error.
-func (t *table) wrapBatchErr(b *storage.ColBatch, slot int, err error) error {
-	return fmt.Errorf("engine: table %s at %s: %w", t.name, sql.RowID(b.ID(slot)).Unpack(), err)
 }

@@ -31,11 +31,10 @@ func loadMany(t *testing.T, e *Engine, n int) {
 	}
 }
 
-// TestGeomCacheUnderFramePressure: with a buffer pool far smaller than
-// the heap, repeated scans must evict pages while the geometry cache
-// keeps serving decoded geometries — the two layers are independent,
-// and results stay stable throughout.
-func TestGeomCacheUnderFramePressure(t *testing.T) {
+// TestRepeatScanUnderFramePressure: with a buffer pool far smaller than
+// the heap, repeated scans must evict pages, and results stay stable
+// throughout.
+func TestRepeatScanUnderFramePressure(t *testing.T) {
 	// 64 frames = 512 KiB of pool over a ~1 MiB heap.
 	e := Open(GaiaDB(), WithPoolPages(64))
 	e.MustExec("CREATE TABLE landmarks (id INTEGER, name TEXT, geo GEOMETRY)")
@@ -43,7 +42,7 @@ func TestGeomCacheUnderFramePressure(t *testing.T) {
 
 	const q = "SELECT COUNT(*) FROM landmarks WHERE ST_Intersects(geo, ST_MakeEnvelope(10, 10, 40, 40))"
 	first := e.MustExec(q)
-	psBefore, ccBefore := e.Pool().Stats(), e.CacheCounters()
+	psBefore := e.Pool().Stats()
 	second := e.MustExec(q)
 	if first.Rows[0][0].Int != second.Rows[0][0].Int {
 		t.Fatalf("count drifted across runs: %v vs %v", first.Rows[0][0], second.Rows[0][0])
@@ -54,20 +53,16 @@ func TestGeomCacheUnderFramePressure(t *testing.T) {
 		t.Errorf("pool saw no evictions under frame pressure: %+v (cached pages %d)",
 			ps, e.Pool().CachedPages())
 	}
-	cc := e.CacheCounters()
-	if cc.GeomHits == ccBefore.GeomHits {
-		t.Errorf("geometry cache served no hits on the repeat scan: %+v", cc)
-	}
 }
 
 // TestMissPenaltyOnlyOnRealMisses: the pool's simulated disk latency
-// must charge only genuine page misses — a warm scan whose geometries
-// come from the geometry cache pays nothing.
+// must charge only genuine page misses — a warm scan served from cached
+// pages pays nothing.
 func TestMissPenaltyOnlyOnRealMisses(t *testing.T) {
 	e := newTestEngine(t)
 	loadGrid(t, e, 8)
 	const q = "SELECT COUNT(*) FROM landmarks WHERE ST_Intersects(geo, ST_MakeEnvelope(0, 0, 6, 6))"
-	e.MustExec(q) // warm pool and geometry cache
+	e.MustExec(q) // warm pool
 
 	const penalty = 50 * time.Millisecond
 	e.Pool().MissPenalty = penalty
@@ -111,16 +106,13 @@ func TestWarmRepeatHitsEveryLayer(t *testing.T) {
 	e.MustExec(q)
 
 	before := e.CacheCounters()
-	if before.PoolHits+before.GeomHits+before.PlanHits == 0 {
+	if before.PoolHits+before.PlanHits == 0 {
 		t.Fatalf("warmup recorded no cache activity: %+v", before)
 	}
 	e.MustExec(q)
 	cc := e.CacheCounters()
 	if hits, misses := cc.PlanHits-before.PlanHits, cc.PlanMisses-before.PlanMisses; hits != 1 || misses != 0 {
 		t.Errorf("plan counters over the repeat: hits=%d misses=%d", hits, misses)
-	}
-	if hits, misses := cc.GeomHits-before.GeomHits, cc.GeomMisses-before.GeomMisses; hits == 0 || misses != 0 {
-		t.Errorf("geom counters over the repeat: hits=%d misses=%d", hits, misses)
 	}
 	if misses := cc.PoolMisses - before.PoolMisses; misses != 0 {
 		t.Errorf("pool took %d misses on a warm repeat", misses)

@@ -18,21 +18,17 @@ import (
 // (4096 pages = 32 MiB).
 const defaultPoolPages = 4096
 
-// defaultGeomCacheBytes budgets the decoded-geometry cache (16 MiB).
-const defaultGeomCacheBytes = 16 << 20
-
 // defaultPlanCacheEntries bounds the prepared-statement cache.
 const defaultPlanCacheEntries = 256
 
 // Engine is a complete spatial database instance.
 type Engine struct {
-	profile   Profile
-	store     storage.PageStore
-	pool      *storage.BufferPool
-	geomCache *storage.GeomCache // nil when disabled
-	plans     *planCache         // nil when disabled
-	runner    *sql.Runner
-	reg       *sql.Registry
+	profile Profile
+	store   storage.PageStore
+	pool    *storage.BufferPool
+	plans   *planCache // nil when disabled
+	runner  *sql.Runner
+	reg     *sql.Registry
 
 	// ddlEpoch versions the schema: every CREATE/DROP of a table or
 	// index bumps it, invalidating cached plans parsed under an older
@@ -61,7 +57,6 @@ type options struct {
 	store       storage.PageStore
 	poolPages   int
 	parallelism int
-	geomBytes   int
 	planEntries int
 	topoPrep    bool
 	batchExec   bool
@@ -86,10 +81,13 @@ func WithParallelism(n int) Option {
 	return func(o *options) { o.parallelism = n }
 }
 
-// WithGeomCache budgets the decoded-geometry cache in bytes. bytes <= 0
-// disables it. Default: 16 MiB.
-func WithGeomCache(bytes int) Option {
-	return func(o *options) { o.geomBytes = bytes }
+// WithGeomCache does nothing: the decoded-geometry cache it budgeted is
+// gone.
+//
+// Deprecated: kept only so the frozen perfbench module still compiles;
+// the next benchmark change drops its call and then this stub.
+func WithGeomCache(int) Option {
+	return func(*options) {}
 }
 
 // WithPlanCache bounds the prepared-statement (plan) cache in entries.
@@ -128,7 +126,6 @@ func WithJoinStrategy(s sql.JoinStrategy) Option {
 // fixed from then on.
 func Open(profile Profile, opts ...Option) *Engine {
 	o := options{
-		geomBytes:   defaultGeomCacheBytes,
 		planEntries: defaultPlanCacheEntries,
 		topoPrep:    true,
 		batchExec:   true,
@@ -143,13 +140,12 @@ func Open(profile Profile, opts ...Option) *Engine {
 		o.poolPages = defaultPoolPages
 	}
 	e := &Engine{
-		profile:   profile,
-		store:     o.store,
-		pool:      storage.NewBufferPool(o.store, o.poolPages),
-		geomCache: storage.NewGeomCache(o.geomBytes),
-		plans:     newPlanCache(o.planEntries),
-		tables:    make(map[string]*table),
-		reg:       sql.NewRegistry(profile.registryOptions()),
+		profile: profile,
+		store:   o.store,
+		pool:    storage.NewBufferPool(o.store, o.poolPages),
+		plans:   newPlanCache(o.planEntries),
+		tables:  make(map[string]*table),
+		reg:     sql.NewRegistry(profile.registryOptions()),
 	}
 	e.runner = sql.NewRunner(e, e.reg, o.parallelism, o.topoPrep, o.batchExec, o.joinStrat)
 	return e
@@ -181,14 +177,21 @@ func (e *Engine) PlanCacheStats() PlanCacheStats { return e.plans.snapshot() }
 func (e *Engine) PlanCacheLen() int { return e.plans.len() }
 
 // CacheCounters bundles the raw hit/miss counters of every cache layer:
-// buffer pool (pages), geometry cache (decoded WKB), plan cache
-// (parsed statements), prepared-geometry topology kernel (exact
-// predicate evaluations served by a prepared constant side). Reports
-// sample it before and after a timed region and difference the
-// snapshots.
+// buffer pool (pages), plan cache (parsed statements), prepared-geometry
+// topology kernel (exact predicate evaluations served by a prepared
+// constant side). Reports sample it before and after a timed region and
+// difference the snapshots.
 type CacheCounters struct {
 	PoolHits, PoolMisses uint64
+
+	// GeomHits and GeomMisses are always zero: the decoded-geometry
+	// cache they counted is gone.
+	//
+	// Deprecated: kept only so the frozen perfbench module still
+	// compiles; the next benchmark change drops its reads and then
+	// these fields.
 	GeomHits, GeomMisses uint64
+
 	PlanHits, PlanMisses uint64
 	PrepHits, PrepMisses uint64
 
@@ -205,12 +208,10 @@ type CacheCounters struct {
 // CacheCounters snapshots all cache layers at once.
 func (e *Engine) CacheCounters() CacheCounters {
 	ps := e.pool.Stats()
-	gs := e.geomCache.Stats()
 	cs := e.plans.snapshot()
 	ph, pm := e.reg.PreparedCounters()
 	out := CacheCounters{
 		PoolHits: ps.Hits, PoolMisses: ps.Misses,
-		GeomHits: gs.Hits, GeomMisses: gs.Misses,
 		PlanHits: cs.Hits, PlanMisses: cs.Misses,
 		PrepHits: uint64(ph), PrepMisses: uint64(pm),
 	}
@@ -381,7 +382,7 @@ func (e *Engine) CreateTable(name string, cols []sql.Column) error {
 		}
 		seen[c.Name] = true
 	}
-	e.tables[key] = newTable(key, cols, e.pool, e.geomCache)
+	e.tables[key] = newTable(key, cols, e.pool)
 	e.ddlEpoch.Add(1)
 	return nil
 }
@@ -427,9 +428,6 @@ func (e *Engine) DropTable(tableName string, ifExists bool) error {
 		return fmt.Errorf("engine: unknown table %q", tableName)
 	}
 	delete(e.tables, key)
-	// A later table of the same name would reuse record ids, so cached
-	// geometries must not outlive the definition.
-	e.geomCache.InvalidateTable(key)
 	e.ddlEpoch.Add(1)
 	return nil
 }

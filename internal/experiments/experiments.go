@@ -571,16 +571,15 @@ func RunE13(w io.Writer, cfg Config, workers []int) error {
 	return nil
 }
 
-// RunE14 regenerates the decode-elimination figure: a repeated
-// window-query workload on GaiaDB under four cache configurations (no
-// caches, plan cache only, geometry cache only, both). The first pass
-// runs against empty caches ("cold"); the second identical pass
-// ("warm") is served from them. The page store is in-memory and no
-// miss penalty is configured, so the cold/warm gap isolates parse and
-// WKB-decode work rather than page I/O. Results are identical across
-// configurations; only the response time moves.
+// RunE14 regenerates the plan-cache ablation: a repeated window-query
+// workload on GaiaDB with the plan cache off and on. The first pass
+// runs against an empty cache ("cold"); the following identical passes
+// ("warm") are served from it. The page store is in-memory and no miss
+// penalty is configured, so the cold/warm gap isolates parse work
+// rather than page I/O. Results are identical across configurations;
+// only the response time moves.
 func RunE14(w io.Writer, cfg Config) error {
-	header(w, "E14", "decode elimination: geometry and plan caches", cfg)
+	header(w, "E14", "plan cache ablation", cfg)
 	scale := cfg.Scale
 	if scale < tiger.Medium {
 		scale = tiger.Medium
@@ -601,13 +600,11 @@ func RunE14(w io.Writer, cfg Config) error {
 		name string
 		opts []engine.Option
 	}{
-		{"none", []engine.Option{engine.WithGeomCache(0), engine.WithPlanCache(0)}},
-		{"plan", []engine.Option{engine.WithGeomCache(0)}},
-		{"geom", []engine.Option{engine.WithPlanCache(0)}},
-		{"plan+geom", nil},
+		{"none", []engine.Option{engine.WithPlanCache(0)}},
+		{"plan", nil},
 	}
-	fmt.Fprintf(w, "%-10s %14s %14s %9s %9s %9s\n",
-		"caches", "cold", "warm", "vs none", "geom hit", "plan hit")
+	fmt.Fprintf(w, "%-10s %14s %14s %9s %9s\n",
+		"caches", "cold", "warm", "vs none", "plan hit")
 	var warmNone time.Duration
 	for _, c := range configs {
 		eng := engine.Open(engine.GaiaDB(), c.opts...)
@@ -650,15 +647,13 @@ func RunE14(w io.Writer, cfg Config) error {
 		warmTime := warmTotal / warmRuns
 		cc := eng.CacheCounters()
 		conn.Close()
-		geomHits, geomMisses := cc.GeomHits-before.GeomHits, cc.GeomMisses-before.GeomMisses
 		planHits, planMisses := cc.PlanHits-before.PlanHits, cc.PlanMisses-before.PlanMisses
 		if c.name == "none" {
 			warmNone = warmTime
 		}
-		fmt.Fprintf(w, "%-10s %14s %14s %8.2fx %9s %9s\n",
+		fmt.Fprintf(w, "%-10s %14s %14s %8.2fx %9s\n",
 			c.name, coldTime.Round(time.Microsecond), warmTime.Round(time.Microsecond),
 			float64(warmNone)/float64(warmTime),
-			fmtHitRatio(geomHits, geomMisses),
 			fmtHitRatio(planHits, planMisses))
 	}
 	return nil

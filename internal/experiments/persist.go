@@ -19,15 +19,14 @@ import (
 //
 //   - cold:   the directory is reopened — recovery replays the log,
 //     the catalog is read back, indexes rebuild, and the buffer pool
-//     starts empty, so every page faults in from the page file and
-//     every geometry decodes from scratch.
-//   - warm:   the same reopened engine after the cold pass — pages,
-//     decoded geometries, and plans are cached.
+//     starts empty, so every page faults in from the page file.
+//   - warm:   the same reopened engine after the cold pass — pages and
+//     plans are cached.
 //   - steady: an in-memory engine loaded with the same dataset, the
 //     repository's non-durable baseline. The warm/steady gap is the
 //     steady-state price of durability (WAL appends and group-commit
 //     fsyncs on the write path); the cold/warm gap is the restart
-//     price (faulting and re-decoding the working set).
+//     price (faulting the working set back in).
 //
 // Between cold micro queries the pool is dropped, so each cold cell is
 // a genuine first touch rather than riding the previous query's pages.
@@ -115,8 +114,7 @@ func MeasureE18(cfg Config, dir string) ([]E18Cell, E18Stats, error) {
 	var cold E18Cell
 	cold.State = "cold"
 	for _, q := range E18Queries() {
-		// Drop the pool (and the decode caches it feeds) so each cold
-		// cell is a first touch.
+		// Drop the pool so each cold cell is a first touch.
 		if err := reopened.Pool().DropAll(); err != nil {
 			return nil, st, err
 		}

@@ -127,14 +127,14 @@ type VersionedTable interface {
 type BatchTable interface {
 	Table
 	// ScanBatch drives the shard'th of nshards heap partitions in
-	// batches of up to size slots: each batch is filled with validated
+	// batches of up to BatchSize slots: each batch is filled with validated
 	// tuples, MBR-prefiltered against proj.Window when proj.MBRCol >= 0
 	// (survivors land in the batch's selection vector), and its selected
 	// slots materialized per proj.Need before fn runs. Batch memory is
 	// reused: fn must copy anything that outlives the call. Visiting
 	// shards 0..nshards-1 in order reproduces exactly the rows (and
 	// order) of ScanProject.
-	ScanBatch(shard, nshards int, proj Projection, size int, fn func(*storage.ColBatch) (bool, error)) error
+	ScanBatch(shard, nshards int, proj Projection, fn func(*storage.ColBatch) (bool, error)) error
 	// FetchBatch fills b with the identified rows (in id order, all
 	// selected) and materializes them per proj.Need. Used by the batch
 	// refinement stage of spatial-index scans.

@@ -31,10 +31,10 @@ type Result struct {
 	Access []string
 }
 
-// batchSize is the number of row slots per column batch. Large enough
+// BatchSize is the number of row slots per column batch. Large enough
 // to amortize per-batch overhead, small enough that a batch's arena and
 // row backing stay cache-resident.
-const batchSize = 256
+const BatchSize = 256
 
 // Runner binds a catalog and function registry into a statement
 // executor. Its configuration is fixed at NewRunner.
@@ -365,13 +365,7 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool) (*Result, error) {
 	// scope columns on the non-aggregate path (grouped ORDER BY keys
 	// name output columns).
 	need := make([]bool, scope.Len())
-	markRefs := func(e Expr) {
-		walkExpr(e, func(x Expr) {
-			if c, ok := x.(*ColumnRef); ok && c.Index >= 0 && c.Index < len(need) {
-				need[c.Index] = true
-			}
-		})
-	}
+	markRefs := func(e Expr) { markColumnRefs(need, e) }
 	allCols := false
 	for _, se := range sel.Exprs {
 		if se.Star {
@@ -405,13 +399,7 @@ func (r *Runner) execSelect(sel *Select, explainOnly bool) (*Result, error) {
 	bt0, batchOK := r.batchEligible(sel, tables[0].tbl, paths[0].kind, hasAgg, knn)
 	if batchOK && !allCols {
 		needElse := make([]bool, scope.Len())
-		markElse := func(e Expr) {
-			walkExpr(e, func(x Expr) {
-				if c, ok := x.(*ColumnRef); ok && c.Index >= 0 && c.Index < len(needElse) {
-					needElse[c.Index] = true
-				}
-			})
-		}
+		markElse := func(e Expr) { markColumnRefs(needElse, e) }
 		for _, se := range sel.Exprs {
 			if !se.Star {
 				markElse(se.Expr)
@@ -1577,19 +1565,22 @@ func evalWithAggs(e Expr, row []storage.Value, reg *Registry, aggVals map[*FuncC
 // --- UPDATE / DELETE ------------------------------------------------------
 
 // matchRows collects the row ids satisfying the WHERE clause of a
-// single-table DML statement.
+// single-table DML statement. The scan decodes only the columns the
+// WHERE clause reads.
 func (r *Runner) matchRows(tbl Table, binding string, where Expr) ([]RowID, error) {
 	scope := NewScope()
 	scope.AddTable(binding, tbl.Columns())
+	need := make([]bool, scope.Len())
 	if where != nil {
 		if err := Bind(where, scope, r.reg, false); err != nil {
 			return nil, err
 		}
 		r.installPrepared(where)
+		markColumnRefs(need, where)
 	}
 	var ids []RowID
 	var evalErr error
-	err := tbl.Scan(func(id RowID, row []storage.Value) bool {
+	err := tbl.ScanProject(0, 1, Projection{Need: need, MBRCol: -1}, func(id RowID, row []storage.Value) bool {
 		if where != nil {
 			v, err := Eval(where, row, r.reg)
 			if err != nil {

@@ -150,6 +150,15 @@ func walkExpr(e Expr, fn func(Expr)) {
 	}
 }
 
+// markColumnRefs sets need[i] for every bound column reference i in e.
+func markColumnRefs(need []bool, e Expr) {
+	walkExpr(e, func(x Expr) {
+		if c, ok := x.(*ColumnRef); ok && c.Index >= 0 && c.Index < len(need) {
+			need[c.Index] = true
+		}
+	})
+}
+
 // refsInRange reports whether every column reference falls in [lo, hi).
 func refsInRange(e Expr, lo, hi int) bool {
 	ok := true

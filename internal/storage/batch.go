@@ -22,8 +22,7 @@ import (
 // out — tuples, rows, arena-decoded geometries — is valid only until
 // the next Reset.
 type ColBatch struct {
-	nCols int // columns per stored tuple
-	width int // materialized row width (>= nCols; joins pad with NULLs)
+	nCols int // columns per stored tuple and per materialized row
 	n     int // filled slots
 
 	arena   []byte  // concatenated tuple bytes
@@ -41,7 +40,7 @@ type ColBatch struct {
 	// Sel lists the slots still alive after filtering, in slot order.
 	Sel []int
 
-	rows []Value // n*width flat row backing
+	rows []Value // n*nCols flat row backing
 
 	// Coords backs arena-decoded filter-only geometries; reset per batch.
 	Coords geom.CoordArena
@@ -63,10 +62,9 @@ func GetColBatch() *ColBatch { return colBatchPool.Get().(*ColBatch) }
 func PutColBatch(b *ColBatch) { colBatchPool.Put(b) }
 
 // Reset empties the batch for a new morsel of tuples with nCols columns
-// each, materialized into rows of the given width.
-func (b *ColBatch) Reset(width, nCols int) {
+// each.
+func (b *ColBatch) Reset(nCols int) {
 	b.nCols = nCols
-	b.width = width
 	b.n = 0
 	b.arena = b.arena[:0]
 	b.colOffs = b.colOffs[:0]
@@ -83,9 +81,6 @@ func (b *ColBatch) Reset(width, nCols int) {
 
 // Len returns the number of filled slots.
 func (b *ColBatch) Len() int { return b.n }
-
-// Width returns the materialized row width.
-func (b *ColBatch) Width() int { return b.width }
 
 // ID returns the packed row id of a slot.
 func (b *ColBatch) ID(slot int) int64 { return b.ids[slot] }
@@ -160,7 +155,7 @@ func (b *ColBatch) SelectAll() {
 // count. Materialization then writes only the projected columns of
 // selected slots; everything else reads as NULL.
 func (b *ColBatch) ResetRows() {
-	need := b.n * b.width
+	need := b.n * b.nCols
 	if cap(b.rows) < need {
 		b.rows = make([]Value, need)
 		return
@@ -171,12 +166,12 @@ func (b *ColBatch) ResetRows() {
 	}
 }
 
-// Row returns the materialized row of a slot (full width, capacity
+// Row returns the materialized row of a slot (all columns, capacity
 // clipped). The slice aliases the batch backing: valid until the next
 // Reset/ResetRows, and rows that outlive the batch must be copied.
 func (b *ColBatch) Row(slot int) []Value {
-	lo := slot * b.width
-	hi := lo + b.width
+	lo := slot * b.nCols
+	hi := lo + b.nCols
 	return b.rows[lo:hi:hi]
 }
 
@@ -191,14 +186,8 @@ func (b *ColBatch) ColType(slot, col int) ValueType {
 	return ValueType(b.col(slot, col)[0])
 }
 
-// GeomWKB returns the raw WKB payload of a geometry column, aliasing
-// the batch arena. Only valid when ColType reports TypeGeom.
-func (b *ColBatch) GeomWKB(slot, col int) []byte {
-	return geomWKBBytes(b.col(slot, col))
-}
-
 // Col materializes one column of one slot, decoding geometries onto the
-// heap (safe to cache or let escape the batch).
+// heap (safe to let escape the batch).
 func (b *ColBatch) Col(slot, col int) (Value, error) {
 	return decodeColBytes(b.col(slot, col), col)
 }

@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"net"
 
 	"jackpine/internal/storage"
 )
@@ -35,15 +36,17 @@ const (
 // maxFrame bounds a single protocol frame (64 MiB).
 const maxFrame = 64 << 20
 
-// writeFrame sends one op + payload frame.
+// writeFrame sends one op + payload frame. On a network connection the
+// header and payload go out in one vectored write, so a peer that has
+// already answered and closed (an over-limit rejection) resets the
+// connection only after the whole request is sent, and the answer
+// stays readable.
 func writeFrame(w io.Writer, op byte, payload []byte) error {
 	hdr := make([]byte, 5)
 	binary.LittleEndian.PutUint32(hdr, uint32(len(payload)+1))
 	hdr[4] = op
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	bufs := net.Buffers{hdr, payload}
+	_, err := bufs.WriteTo(w)
 	return err
 }
 
